@@ -109,19 +109,26 @@ bench-diff:
 	$(GO) run ./cmd/disttrain-benchjson -diff $(BENCH_JSON) -band $(BENCH_BAND) -alloc-band $(BENCH_ALLOC_BAND) < bench.out
 	@rm -f bench.out
 
-# profile runs the 16-job fleet sweep under the pprof flags and leaves
-# cpu/heap/mutex profiles in $(PROF_DIR). Read them with e.g.
+# profile runs the steady fleet shape — PROF_JOBS identical 9b tenants
+# on 2-node leases for PROF_ITERS iterations, about a second of work —
+# under the pprof flags and leaves cpu/heap/mutex profiles in
+# $(PROF_DIR). Read them with e.g.
 #   go tool pprof -top $(PROF_DIR)/fleet-cpu.pprof
 #   go tool pprof -sample_index=alloc_objects -top $(PROF_DIR)/fleet-mem.pprof
-# This is the workflow that drove the hot-loop optimization pass; see
-# "Profiling & performance" in the README.
+# The fleet trace is opt-in (PROF_TRACE=1 writes
+# $(PROF_DIR)/fleet-trace.json): at the default size it is ~200 MB
+# and tracing dominates the profile. This is the workflow behind the
+# hot-loop and cost-table optimizations; see "Profiling & performance"
+# in the README.
 PROF_DIR ?= profiles
-PROF_JOBS ?= 16
-PROF_ITERS ?= 2
+PROF_JOBS ?= 256
+PROF_ITERS ?= 40
+PROF_TRACE ?= 0
 profile: build
 	@mkdir -p $(PROF_DIR)
 	$(GO) run ./cmd/disttrain-fleet -nodes $$(( 2 * $(PROF_JOBS) )) -jobs $(PROF_JOBS) \
-		-job-iters $(PROF_ITERS) -job-nodes 2-2 -batch 32 -trace $(PROF_DIR)/fleet-trace.json \
+		-job-iters $(PROF_ITERS) -job-nodes 2-2 -batch 32 \
+		$(if $(filter 1,$(PROF_TRACE)),-trace $(PROF_DIR)/fleet-trace.json) \
 		-plan-cache-dir $(PROF_DIR)/plan-cache \
 		-cpuprofile $(PROF_DIR)/fleet-cpu.pprof \
 		-memprofile $(PROF_DIR)/fleet-mem.pprof \

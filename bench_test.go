@@ -193,6 +193,53 @@ func BenchmarkInterReorder(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleCost measures the per-sample FLOP cost model the
+// trainer charges every sample of every iteration through: forward
+// and backward FLOPs of all three modules for one corpus sample. The
+// table variant is the compiled model.CostTable the runtime uses
+// (allocation-free); formula re-derives the architecture through
+// MLLM.ModuleTrainFLOPs, the definition the table is pinned to.
+func BenchmarkSampleCost(b *testing.B) {
+	corpus, err := data.NewCorpus(data.LAION400M())
+	if err != nil {
+		b.Fatal(err)
+	}
+	shapes := make([]model.SampleShape, 256)
+	for i := range shapes {
+		shapes[i] = corpus.Sample(int64(i)).Shape()
+	}
+	m := model.MLLM9B()
+	table, err := model.NewCostTable(&m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	freeze := model.FullTraining
+	var sink float64
+	b.Run("table", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := shapes[i%len(shapes)]
+			for _, mod := range model.Modules {
+				fwd, bwd := table.Train(mod, s, freeze)
+				sink += fwd + bwd
+			}
+		}
+	})
+	b.Run("formula", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := shapes[i%len(shapes)]
+			for _, mod := range model.Modules {
+				fwd, bwd := m.ModuleTrainFLOPs(mod, s, freeze)
+				sink += fwd + bwd
+			}
+		}
+	})
+	if sink == 0 {
+		b.Fatal("no FLOPs priced")
+	}
+}
+
 // BenchmarkPipelineSimulate measures the exact 1F1B simulator on the
 // same shape.
 func BenchmarkPipelineSimulate(b *testing.B) {

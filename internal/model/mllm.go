@@ -284,12 +284,6 @@ func (f FreezeSpec) BackwardFactor(mod Module) float64 {
 	return 1
 }
 
-// TrainFLOPsMultiplier returns (forward + backward) cost as a multiple
-// of forward cost for the module under this freeze setting.
-func (f FreezeSpec) TrainFLOPsMultiplier(mod Module) float64 {
-	return 1 + f.BackwardFactor(mod)
-}
-
 // ModuleMemory describes the per-GPU memory model of §4.2 for one module
 // sharded across its parallelism group.
 type ModuleMemory struct {

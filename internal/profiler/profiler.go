@@ -100,6 +100,28 @@ type Profiler struct {
 	// under the same contract as meanShape: calibration never races
 	// queries.
 	fp string
+
+	// table is opts.Model's compiled FLOP model and gpuPeak each
+	// module's accelerator peak, both fixed at New; terms holds the
+	// width-dependent factors of SampleForward/SampleTrain for widths
+	// below widthMemo, rebuilt by CalibrateShapes because the encoder's
+	// TP communication reads the calibrated image size. The per-sample
+	// queries read only these, never Options.
+	table   *model.CostTable
+	gpuPeak [len(model.Modules)]float64
+	terms   [len(model.Modules)][widthMemo]widthTerms
+}
+
+// widthMemo bounds the group widths whose terms are precomputed: TP
+// and replication groups stay within a node, so wider groups are rare
+// enough to evaluate directly.
+const widthMemo = 16
+
+// widthTerms are the per-(module, width) factors of a sample's time:
+// the group's effective FLOP/s and its exposed TP communication.
+type widthTerms struct {
+	rate float64 // width * peak FLOP/s * efficiency
+	comm float64 // tpComm at this width
 }
 
 // costKey identifies one memoized mean-shape cost query.
@@ -133,13 +155,25 @@ func New(opts Options) (*Profiler, error) {
 	if opts.StepCCLOverlap < 0 || opts.StepCCLOverlap > 1 {
 		return nil, fmt.Errorf("profiler: StepCCLOverlap %g outside [0,1]", opts.StepCCLOverlap)
 	}
-	p := &Profiler{opts: opts, interpTable: map[interpKey][]interpPoint{}}
+	table, err := model.NewCostTable(&opts.Model)
+	if err != nil {
+		return nil, err
+	}
+	p := &Profiler{opts: opts, interpTable: map[interpKey][]interpPoint{}, table: table}
+	for _, mod := range model.Modules {
+		p.gpuPeak[mod] = opts.GPUFor(mod).PeakFLOPS
+	}
+	p.buildTerms()
 	p.fp = p.computeFingerprint()
 	return p, nil
 }
 
 // Options returns the profiler's configuration.
 func (p *Profiler) Options() Options { return p.opts }
+
+// Freeze returns the profiler's freeze setting without copying the
+// whole Options.
+func (p *Profiler) Freeze() model.FreezeSpec { return p.opts.Freeze }
 
 // efficiency returns the fraction of peak FLOP/s a module achieves on
 // one GPU, degraded as tensor parallelism shrinks the per-GPU matrix
@@ -167,14 +201,14 @@ func (p *Profiler) efficiency(mod model.Module, width int) float64 {
 
 // tpComm returns the exposed tensor-parallel communication time for one
 // microbatch across a whole module at the given TP width.
-func (p *Profiler) tpComm(mod model.Module, tp int, samples int) float64 {
+func (p *Profiler) tpComm(mod model.Module, tp int) float64 {
 	if tp <= 1 {
 		return 0
 	}
 	if p.opts.ReplicateSmallModules && mod != model.Backbone {
 		return 0 // replicated modules do not communicate within the group
 	}
-	m := p.opts.Model
+	m := &p.opts.Model
 	cost := comm.CollectiveCost{
 		BandwidthBps: p.opts.Cluster.GroupBandwidth(tp),
 		Latency:      p.opts.Cluster.LinkLatency,
@@ -184,14 +218,14 @@ func (p *Profiler) tpComm(mod model.Module, tp int, samples int) float64 {
 	switch mod {
 	case model.Backbone:
 		layers = m.Backbone.Layers
-		actBytes = float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2 * float64(samples)
+		actBytes = float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2
 	case model.Encoder:
 		layers = m.Encoder.Layers
-		actBytes = float64(p.meanImageTokens()) * float64(m.Encoder.HiddenSize) * 2 * float64(samples)
+		actBytes = float64(p.meanImageTokens()) * float64(m.Encoder.HiddenSize) * 2
 	case model.Generator:
 		layers = len(m.Generator.StageChannels) * (m.Generator.DownBlocks + m.Generator.UpBlocks)
 		latent := float64(m.GenResolution / m.Generator.LatentScale)
-		actBytes = latent * latent * float64(m.Generator.StageChannels[0]) * 2 * float64(samples)
+		actBytes = latent * latent * float64(m.Generator.StageChannels[0]) * 2
 	}
 	per := comm.TPOverheadPerLayer(cost, actBytes, tp, p.opts.SeqParallel && mod == model.Backbone, p.opts.StepCCLOverlap)
 	return per * float64(layers)
@@ -215,46 +249,74 @@ func balanceFactor(images, width int) float64 {
 	return perGPU * float64(width) / float64(images)
 }
 
+// widthTermsFor returns the width factors of a module's sample time,
+// precomputed for the common widths.
+func (p *Profiler) widthTermsFor(mod model.Module, width int) widthTerms {
+	if uint(mod) < uint(len(p.terms)) && uint(width) < widthMemo {
+		return p.terms[mod][width]
+	}
+	return p.computeTerms(mod, width)
+}
+
+func (p *Profiler) computeTerms(mod model.Module, width int) widthTerms {
+	var peak float64
+	if uint(mod) < uint(len(p.gpuPeak)) {
+		peak = p.gpuPeak[mod]
+	}
+	return widthTerms{
+		rate: float64(width) * peak * p.efficiency(mod, width),
+		comm: p.tpComm(mod, width),
+	}
+}
+
+// buildTerms (re)fills the width-term memo; New and CalibrateShapes
+// call it, never concurrently with queries.
+func (p *Profiler) buildTerms() {
+	for _, mod := range model.Modules {
+		for w := range p.terms[mod] {
+			p.terms[mod][w] = p.computeTerms(mod, w)
+		}
+	}
+}
+
+// imageCount is the number of images a replicated module's group
+// splits a sample by.
+func imageCount(mod model.Module, s model.SampleShape) int {
+	if mod == model.Generator {
+		return s.GenImages
+	}
+	return s.NumImages()
+}
+
 // SampleForward returns C_mod(width) evaluated on one concrete sample:
 // the forward seconds for the entire module's work on that sample over
 // a width-GPU tensor-parallel (or replication) group, communication
 // included.
 func (p *Profiler) SampleForward(mod model.Module, width int, s model.SampleShape) float64 {
-	flops := p.opts.Model.ModuleFwdFLOPs(mod, s)
-	eff := p.efficiency(mod, width)
-	gpu := p.opts.GPUFor(mod).PeakFLOPS
-	t := flops / (float64(width) * gpu * eff)
+	w := p.widthTermsFor(mod, width)
+	t := p.table.Fwd(mod, s) / w.rate
 	if p.opts.ReplicateSmallModules && mod != model.Backbone {
 		// Image-granular replication: imbalance when images % width != 0.
-		n := s.NumImages()
-		if mod == model.Generator {
-			n = s.GenImages
-		}
-		t *= balanceFactor(n, width)
+		t *= balanceFactor(imageCount(mod, s), width)
 	}
-	return t + p.tpComm(mod, width, 1)
+	return t + w.comm
 }
 
 // SampleTrain returns forward+backward seconds for one sample under the
 // profiler's freeze setting.
 func (p *Profiler) SampleTrain(mod model.Module, width int, s model.SampleShape) float64 {
-	fwdFLOPs, bwdFLOPs := p.opts.Model.ModuleTrainFLOPs(mod, s, p.opts.Freeze)
-	eff := p.efficiency(mod, width)
-	gpu := p.opts.GPUFor(mod).PeakFLOPS
-	t := (fwdFLOPs + bwdFLOPs) / (float64(width) * gpu * eff)
+	fwdFLOPs, bwdFLOPs := p.table.Train(mod, s, p.opts.Freeze)
+	w := p.widthTermsFor(mod, width)
+	t := (fwdFLOPs + bwdFLOPs) / w.rate
 	if p.opts.ReplicateSmallModules && mod != model.Backbone {
-		n := s.NumImages()
-		if mod == model.Generator {
-			n = s.GenImages
-		}
-		t *= balanceFactor(n, width)
+		t *= balanceFactor(imageCount(mod, s), width)
 	}
 	// Backward mirrors forward communication.
 	commMult := 1.0
 	if bwdFLOPs > 0 {
 		commMult = 2
 	}
-	return t + commMult*p.tpComm(mod, width, 1)
+	return t + commMult*w.comm
 }
 
 // Calibrate samples the corpus and records the mean sample shape; it
@@ -285,6 +347,8 @@ func (p *Profiler) CalibrateShapes(shapes []model.SampleShape) error {
 	}
 	p.meanShape = MeanShapeOf(shapes)
 	p.calibrated = true
+	// The encoder's TP communication reads the mean image size.
+	p.buildTerms()
 	p.costs.Range(func(k, _ any) bool { // drop costs memoized on the old shape
 		p.costs.Delete(k)
 		return true

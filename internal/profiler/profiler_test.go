@@ -359,3 +359,95 @@ func TestCalibrateShapes(t *testing.T) {
 		t.Errorf("3x heavier shapes did not raise the encoder cost: %g vs %g", after, before)
 	}
 }
+
+// formulaForward and formulaTrain are the pre-table definitions of
+// SampleForward/SampleTrain: FLOPs straight from the model formulas,
+// peak FLOP/s from Options.GPUFor and TP communication evaluated on
+// every query.
+func formulaForward(p *Profiler, mod model.Module, width int, s model.SampleShape) float64 {
+	o := p.Options()
+	flops := o.Model.ModuleFwdFLOPs(mod, s)
+	t := flops / (float64(width) * o.GPUFor(mod).PeakFLOPS * p.efficiency(mod, width))
+	if o.ReplicateSmallModules && mod != model.Backbone {
+		n := s.NumImages()
+		if mod == model.Generator {
+			n = s.GenImages
+		}
+		t *= balanceFactor(n, width)
+	}
+	return t + p.tpComm(mod, width)
+}
+
+func formulaTrain(p *Profiler, mod model.Module, width int, s model.SampleShape) float64 {
+	o := p.Options()
+	fwd, bwd := o.Model.ModuleTrainFLOPs(mod, s, o.Freeze)
+	t := (fwd + bwd) / (float64(width) * o.GPUFor(mod).PeakFLOPS * p.efficiency(mod, width))
+	if o.ReplicateSmallModules && mod != model.Backbone {
+		n := s.NumImages()
+		if mod == model.Generator {
+			n = s.GenImages
+		}
+		t *= balanceFactor(n, width)
+	}
+	commMult := 1.0
+	if bwd > 0 {
+		commMult = 2
+	}
+	return t + commMult*p.tpComm(mod, width)
+}
+
+// TestSampleCostMatchesFormulas pins the table-backed SampleForward
+// and SampleTrain to the formula-based reference bit for bit, at the
+// memoised widths and beyond them, with replication on and off, with a
+// per-module SKU override, under a partial freeze, and before and
+// after a recalibration moves the mean image size (which the
+// encoder's TP communication reads when replication is off).
+func TestSampleCostMatchesFormulas(t *testing.T) {
+	shapes := []model.SampleShape{
+		{},
+		{ImageTokens: []int{1024}, GenImages: 1},
+		{ImageTokens: []int{256, 0, -3, 4096, 576}, GenImages: 3},
+		{ImageTokens: []int{64, 64, 64, 64, 64, 64, 64, 64, 64}, GenImages: 9},
+	}
+	heavy := []model.SampleShape{{ImageTokens: []int{3000, 3100}, GenImages: 2}}
+	for _, replicate := range []bool{true, false} {
+		for _, hetero := range []bool{false, true} {
+			opts := DefaultOptions(cluster.Production(4), model.MLLM15B())
+			opts.ReplicateSmallModules = replicate
+			opts.Freeze = model.LLMOnly
+			if hetero {
+				opts.ModuleGPUs = map[model.Module]cluster.GPUSpec{model.Encoder: cluster.L20Class}
+			}
+			p, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(phase string) {
+				t.Helper()
+				for _, width := range []int{1, 2, 4, 8, widthMemo, 2 * widthMemo} {
+					for _, mod := range model.Modules {
+						for _, s := range shapes {
+							if got, want := p.SampleForward(mod, width, s), formulaForward(p, mod, width, s); got != want {
+								t.Errorf("replicate=%v hetero=%v %s: SampleForward(%v,%d,%v) = %v, formula %v",
+									replicate, hetero, phase, mod, width, s, got, want)
+							}
+							if got, want := p.SampleTrain(mod, width, s), formulaTrain(p, mod, width, s); got != want {
+								t.Errorf("replicate=%v hetero=%v %s: SampleTrain(%v,%d,%v) = %v, formula %v",
+									replicate, hetero, phase, mod, width, s, got, want)
+							}
+						}
+					}
+				}
+			}
+			check("uncalibrated")
+			before := p.SampleForward(model.Encoder, 4, shapes[1])
+			if err := p.CalibrateShapes(heavy); err != nil {
+				t.Fatal(err)
+			}
+			check("calibrated")
+			if after := p.SampleForward(model.Encoder, 4, shapes[1]); !replicate && after == before {
+				t.Error("recalibration left the encoder's TP communication unchanged")
+			}
+		}
+	}
+}

@@ -13,9 +13,10 @@
 package reorder
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"disttrain/internal/pipeline"
 )
@@ -97,8 +98,14 @@ func (p *Partitioner) Partition(sizes []float64, m int) ([][]int, error) {
 	}
 	// Sort descending by size (line 3); stable so equal sizes keep
 	// corpus order and the result is deterministic.
-	sort.SliceStable(p.idx, func(a, b int) bool {
-		return sizes[p.idx[a]] > sizes[p.idx[b]]
+	slices.SortStableFunc(p.idx, func(a, b int) int {
+		if sizes[a] > sizes[b] {
+			return -1
+		}
+		if sizes[b] > sizes[a] {
+			return 1
+		}
+		return 0
 	})
 	for g := 0; g < m; g++ {
 		p.loads[g] = 0
@@ -402,12 +409,15 @@ func InterReorderVPP(mbs []Microbatch, p2p []float64, vpp int) ([]Microbatch, er
 
 // sortBySize orders ascending by heterogeneous size, stable on index.
 func sortBySize(mbs []Microbatch) {
-	sort.SliceStable(mbs, func(a, b int) bool {
-		sa, sb := mbs[a].HeteroSize(), mbs[b].HeteroSize()
+	slices.SortStableFunc(mbs, func(a, b Microbatch) int {
+		sa, sb := a.HeteroSize(), b.HeteroSize()
 		if sa != sb {
-			return sa < sb
+			if sa < sb {
+				return -1
+			}
+			return 1
 		}
-		return mbs[a].Index < mbs[b].Index
+		return cmp.Compare(a.Index, b.Index)
 	})
 }
 

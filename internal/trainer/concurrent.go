@@ -81,7 +81,7 @@ type rankScratch struct {
 // mutable state lives in the pooled scratch), so rank workers may run
 // concurrently.
 func (r *Runtime) runRank(d int, samples []data.Sample, p2p []float64, pert scenario.Perturbation) rankOutcome {
-	cfg := r.cfg
+	cfg := &r.cfg
 	m := cfg.Spec.Microbatch
 	k := len(samples) / m
 	sc := r.rankScratch.Get().(*rankScratch)
@@ -149,8 +149,8 @@ func (r *Runtime) runRank(d int, samples []data.Sample, p2p []float64, pert scen
 // phases. Both the sequential reference and the concurrent engine end
 // here, so their results agree bit for bit.
 func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, outcomes []rankOutcome) (IterationStats, error) {
-	cfg := r.cfg
-	spec := cfg.Spec
+	cfg := &r.cfg
+	spec := &cfg.Spec
 	var bd metrics.Breakdown
 
 	// Data arrival. Disaggregated preprocessing only pays the

@@ -23,7 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"disttrain/internal/cluster"
@@ -325,6 +325,10 @@ type Runtime struct {
 	// plan switch that grows DP names only the new lanes.
 	namedRanks int
 
+	// flops is the spec model's compiled FLOP table, which the reduce
+	// path prices every sample through.
+	flops *model.CostTable
+
 	// Hot-loop scratch. part/costBuf/costShape belong to the
 	// batch-assignment path (at most one prepare is outstanding, so no
 	// locking); flopsShape belongs to the reduce path, which may run
@@ -382,7 +386,11 @@ func New(cfg Config) (*Runtime, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runtime{cfg: cfg.withDefaults(), base: base}
+	flops, err := model.NewCostTable(&cfg.Spec.Model)
+	if err != nil {
+		return nil, err
+	}
+	r := &Runtime{cfg: cfg.withDefaults(), base: base, flops: flops}
 	r.rankScratch.New = func() any { return new(rankScratch) }
 	r.source = cfg.Source
 	if r.source == nil {
@@ -467,21 +475,12 @@ func (r *Runtime) iterP2P(pert scenario.Perturbation) []float64 {
 	return scaled
 }
 
-// microbatchWork builds the per-stage fwd/bwd durations of one
-// microbatch (one sample when M=1) by charging each module's share of
-// the sample through the profiler and the plan's allocation ratios.
-func (r *Runtime) microbatchWork(shape model.SampleShape) (fwd, bwd []float64) {
-	fwd = make([]float64, r.stages)
-	bwd = make([]float64, r.stages)
-	r.microbatchWorkInto(shape, fwd, bwd)
-	return fwd, bwd
-}
-
 // microbatchWorkInto fills caller-provided stage slices (len r.stages)
-// with the microbatch's fwd/bwd durations — the scratch-reusing form
-// the rank workers price every microbatch through.
+// with the fwd/bwd durations of one microbatch (one sample when M=1),
+// charging each module's share of it through the profiler and the
+// plan's allocation ratios.
 func (r *Runtime) microbatchWorkInto(shape model.SampleShape, fwd, bwd []float64) {
-	spec := r.cfg.Spec
+	spec := &r.cfg.Spec
 	plan := r.cfg.Plan
 	p := spec.Profiler
 	mbs := float64(spec.Microbatch)
@@ -595,8 +594,15 @@ func rebalance(groups [][]data.Sample, perRank int, size func(data.Sample) float
 	}
 	// Smallest first; stable so ties keep the deterministic group
 	// emission order.
-	sort.SliceStable(surplus, func(a, b int) bool {
-		return size(surplus[a]) < size(surplus[b])
+	slices.SortStableFunc(surplus, func(a, b data.Sample) int {
+		sa, sb := size(a), size(b)
+		if sa < sb {
+			return -1
+		}
+		if sb < sa {
+			return 1
+		}
+		return 0
 	})
 	for d := range groups {
 		for len(groups[d]) < perRank && len(surplus) > 0 {
@@ -611,8 +617,8 @@ func rebalance(groups [][]data.Sample, perRank int, size func(data.Sample) float
 // each module reduce-scatters gradients and all-gathers parameters
 // across its DP group, partially hidden behind backward compute.
 func (r *Runtime) gradSync() float64 {
-	spec := r.cfg.Spec
-	freeze := spec.Profiler.Options().Freeze
+	spec := &r.cfg.Spec
+	freeze := spec.Profiler.Freeze()
 	cost := comm.CollectiveCost{
 		BandwidthBps: spec.Cluster.CrossNodeBandwidthPerGPU(),
 		Latency:      spec.Cluster.LinkLatency,
@@ -637,8 +643,8 @@ func (r *Runtime) gradSync() float64 {
 // optimizerStep prices the ZeRO-1 sharded Adam update: ~32 bytes of
 // reads+writes per locally owned parameter, memory-bound.
 func (r *Runtime) optimizerStep() float64 {
-	spec := r.cfg.Spec
-	freeze := spec.Profiler.Options().Freeze
+	spec := &r.cfg.Spec
+	freeze := spec.Profiler.Freeze()
 	worst := 0.0
 	for _, mp := range r.cfg.Plan.Modules {
 		if freeze.Frozen(mp.Module) {
@@ -657,8 +663,8 @@ func (r *Runtime) optimizerStep() float64 {
 // so all of a trainable module's GPUs transfer their own shards in
 // parallel.
 func (r *Runtime) stateBytes() (bytes float64, clients int) {
-	spec := r.cfg.Spec
-	freeze := spec.Profiler.Options().Freeze
+	spec := &r.cfg.Spec
+	freeze := spec.Profiler.Freeze()
 	for _, mp := range r.cfg.Plan.Modules {
 		if freeze.Frozen(mp.Module) {
 			continue
@@ -702,22 +708,17 @@ func (r *Runtime) restoreSeconds() float64 {
 // disjoint from the assignment path's, which may be prefetching
 // concurrently.
 func (r *Runtime) iterationFLOPs(batch []data.Sample) float64 {
-	freeze := r.cfg.Spec.Profiler.Options().Freeze
+	freeze := r.cfg.Spec.Profiler.Freeze()
 	var total float64
 	for _, s := range batch {
 		shape := s.ShapeInto(r.flopsShape)
 		r.flopsShape = shape.ImageTokens
 		for _, mod := range model.Modules {
-			fwd, bwd := r.cfg.Spec.Model.ModuleTrainFLOPs(mod, shape, freeze)
+			fwd, bwd := r.flops.Train(mod, shape, freeze)
 			total += fwd + bwd
 		}
 	}
 	return total
-}
-
-// aggregateShape merges the shapes of a microbatch's samples.
-func aggregateShape(samples []data.Sample) model.SampleShape {
-	return aggregateShapeInto(samples, nil)
 }
 
 // aggregateShapeInto merges the shapes of a microbatch's samples into
