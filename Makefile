@@ -76,17 +76,23 @@ BENCH_WARM_TIME ?= 5000x
 # dominating the bench-json run. Its tight gate is the one-sided
 # allocs/op tripwire, which two ops already pin exactly.
 BENCH_STORM_TIME ?= 20x
+# bench-json and bench-diff run every benchmark at -cpu=1. go test
+# appends "-N" to benchmark names at N > 1 procs, and the diff matches
+# baseline entries by name, so a recording and a gate run at different
+# proc counts share no names. The gated rates move with the proc count
+# too, so the pin keeps every host, CI included, measuring what the
+# baseline recorded.
 bench-json:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./... > bench.out
-	$(GO) test -bench='BenchmarkFleetThroughput|BenchmarkServiceThroughput|BenchmarkWarmPlanSearch/cold' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . >> bench.out
-	$(GO) test -bench='BenchmarkWarmPlanSearch/warm' -benchtime=$(BENCH_WARM_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . >> bench.out
-	$(GO) test -bench='BenchmarkColdAdmissionStorm' -benchtime=$(BENCH_STORM_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . >> bench.out
+	$(GO) test -cpu=1 -bench=. -benchtime=1x -benchmem -run='^$$' ./... > bench.out
+	$(GO) test -cpu=1 -bench='BenchmarkFleetThroughput|BenchmarkServiceThroughput|BenchmarkWarmPlanSearch/cold' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . >> bench.out
+	$(GO) test -cpu=1 -bench='BenchmarkWarmPlanSearch/warm' -benchtime=$(BENCH_WARM_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . >> bench.out
+	$(GO) test -cpu=1 -bench='BenchmarkColdAdmissionStorm' -benchtime=$(BENCH_STORM_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . >> bench.out
 	$(GO) run ./cmd/disttrain-benchjson -o $(BENCH_JSON) < bench.out
 	@rm -f bench.out
 
 # bench-diff is the perf regression gate: rerun the fleet and
-# shared-preprocessing-service throughput benchmarks (median of
-# BENCH_COUNT samples, like the baseline) and
+# shared-preprocessing-service throughput benchmarks at -cpu=1 (median
+# of BENCH_COUNT samples, like the baseline) and
 # fail when any job count's calibration-normalized rate (norm-iters/s
 # — cpu-iters/s divided by in-process spin rates bracketing each
 # sample, so CPU frequency and throttle state cancel) lands outside
@@ -103,9 +109,9 @@ bench-json:
 BENCH_BAND ?= 25
 BENCH_ALLOC_BAND ?= 10
 bench-diff:
-	$(GO) test -bench='BenchmarkFleetThroughput|BenchmarkServiceThroughput|BenchmarkWarmPlanSearch/cold' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . > bench.out
-	$(GO) test -bench='BenchmarkWarmPlanSearch/warm' -benchtime=$(BENCH_WARM_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . >> bench.out
-	$(GO) test -bench='BenchmarkColdAdmissionStorm' -benchtime=$(BENCH_STORM_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . >> bench.out
+	$(GO) test -cpu=1 -bench='BenchmarkFleetThroughput|BenchmarkServiceThroughput|BenchmarkWarmPlanSearch/cold' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . > bench.out
+	$(GO) test -cpu=1 -bench='BenchmarkWarmPlanSearch/warm' -benchtime=$(BENCH_WARM_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . >> bench.out
+	$(GO) test -cpu=1 -bench='BenchmarkColdAdmissionStorm' -benchtime=$(BENCH_STORM_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . >> bench.out
 	$(GO) run ./cmd/disttrain-benchjson -diff $(BENCH_JSON) -band $(BENCH_BAND) -alloc-band $(BENCH_ALLOC_BAND) < bench.out
 	@rm -f bench.out
 

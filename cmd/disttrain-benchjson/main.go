@@ -259,7 +259,12 @@ func diff(w io.Writer, base, cur *Report, band, allocBand float64) error {
 			if hasAllocs {
 				allocCompared++
 			}
-			fmt.Fprintf(w, "FAIL %s: in baseline but missing from this run\n", b.Name)
+			if alt, ok := procSuffixed(byName, b.Name); ok {
+				fmt.Fprintf(w, "FAIL %s: in baseline but missing from this run; found %s instead (go test suffixes -N when run at N procs: rerun with -cpu=1, as the baseline was recorded)\n",
+					b.Name, alt)
+			} else {
+				fmt.Fprintf(w, "FAIL %s: in baseline but missing from this run\n", b.Name)
+			}
 			continue
 		}
 		rateCompared++
@@ -303,6 +308,25 @@ func diff(w io.Writer, base, cur *Report, band, allocBand float64) error {
 	fmt.Fprintf(w, "throughput within ±%.0f%% and allocs within +%.0f%% of baseline (%d benchmarks, %d alloc counts)\n",
 		band, allocBand, rateCompared, allocCompared)
 	return nil
+}
+
+// procSuffixed looks for name recorded at another proc count: go test
+// appends "-N" to every benchmark name when it runs at N > 1 procs, so
+// a run at the wrong -cpu misses every baseline entry by name alone.
+func procSuffixed(byName map[string]Benchmark, name string) (string, bool) {
+	var found []string
+	for n := range byName {
+		if suffix, ok := strings.CutPrefix(n, name+"-"); ok {
+			if _, err := strconv.Atoi(suffix); err == nil {
+				found = append(found, n)
+			}
+		}
+	}
+	if len(found) == 0 {
+		return "", false
+	}
+	sort.Strings(found)
+	return found[0], true
 }
 
 // allocRegressed reports whether got allocations exceed the baseline

@@ -181,6 +181,33 @@ func TestDiffBand(t *testing.T) {
 	}
 }
 
+// TestDiffNamesProcSuffix: a run at N > 1 procs reports every
+// benchmark as "<name>-N", which matches no baseline name recorded at
+// one proc. The gate still fails, but names the suffixed entry and the
+// -cpu fix instead of a bare "missing".
+func TestDiffNamesProcSuffix(t *testing.T) {
+	bench := func(name string) Benchmark {
+		return Benchmark{Name: name, Iterations: 1, NsPerOp: 1, Metrics: map[string]float64{throughputUnit: 400}}
+	}
+	base := &Report{Benchmarks: []Benchmark{bench("BenchmarkFleetThroughput/jobs=1"), bench("BenchmarkServiceThroughput/tenants=4")}}
+	cur := &Report{Benchmarks: []Benchmark{
+		bench("BenchmarkFleetThroughput/jobs=1-2"),
+		bench("BenchmarkServiceThroughput/tenants=4x"), // not a proc suffix
+	}}
+	var buf strings.Builder
+	if err := diff(&buf, base, cur, 10, 10); err == nil {
+		t.Fatalf("diff passed with every baseline name missing\n%s", buf.String())
+	}
+	out := buf.String()
+	if !strings.Contains(out, "FAIL BenchmarkFleetThroughput/jobs=1: in baseline but missing from this run; found BenchmarkFleetThroughput/jobs=1-2 instead") ||
+		!strings.Contains(out, "-cpu=1") {
+		t.Errorf("diff output does not name the proc-suffixed entry:\n%s", out)
+	}
+	if !strings.Contains(out, "FAIL BenchmarkServiceThroughput/tenants=4: in baseline but missing from this run\n") {
+		t.Errorf("a non-numeric suffix was taken for a proc count:\n%s", out)
+	}
+}
+
 // TestDiffSelfDeclaredBand: a baseline sample that recorded a band%
 // metric (the benchmark called b.ReportMetric(60, "band%")) is gated
 // at that band when it is wider than the CLI's, and at the CLI's when
