@@ -5,8 +5,11 @@
 //
 // -addr accepts a comma-separated list to run a whole producer pool in
 // one process — each address gets its own independent (stateless)
-// server, the layout the consumer-side preprocess.Pool load-balances
-// and fails over across.
+// server, the layout a consumer-side preprocess.Service load-balances
+// and fails over across (disttrain-sim -preproc registers one tenant
+// on such a service). A Service tenant fetches at its own DP width,
+// so -dp does not have to match the trainer's: it sizes the split a
+// bare preprocess.Client fetches, and the default worker count.
 //
 // Examples:
 //

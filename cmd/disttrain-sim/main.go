@@ -124,12 +124,12 @@ func main() {
 		if *colocate {
 			fatal(fmt.Errorf("-colocate-preprocess cannot be combined with a live producer pool"))
 		}
+		pcfg, err := disttrain.PreprocessConfigFor(cfg)
+		if err != nil {
+			fatal(err)
+		}
 		var addrs []string
 		if *localProd > 0 {
-			pcfg, err := disttrain.PreprocessConfigFor(cfg)
-			if err != nil {
-				fatal(err)
-			}
 			fleet, err := disttrain.StartProducerFleet(pcfg, *localProd)
 			if err != nil {
 				fatal(err)
@@ -145,16 +145,23 @@ func main() {
 				}
 			}
 		}
+		// One job is a 1-tenant service at the plan's backbone DP
+		// width; the producers split each batch at that width, not at
+		// their own -dp.
 		poolStats = &disttrain.PoolMetrics{}
-		pool, err := disttrain.NewPreprocessPool(disttrain.PreprocessPoolConfig{
+		svc, err := disttrain.NewPreprocessService(disttrain.PreprocessServiceConfig{
 			Addrs: addrs,
 			Stats: poolStats,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		defer pool.Close()
-		disttrain.UsePreprocessPool(&cfg, pool)
+		defer svc.Close()
+		tenant, err := svc.Register(disttrain.PreprocessTenantConfig{Name: "sim", DP: pcfg.DPSize})
+		if err != nil {
+			fatal(err)
+		}
+		disttrain.UsePreprocessPool(&cfg, tenant)
 		cfg.PoolStats = poolStats
 	}
 

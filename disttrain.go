@@ -31,6 +31,7 @@ package disttrain
 
 import (
 	"context"
+	"fmt"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/controller"
@@ -97,28 +98,21 @@ type (
 	// PreprocessConfig parameterises one disaggregated-preprocessing
 	// producer (batch geometry, reordering, worker pool, readahead).
 	PreprocessConfig = preprocess.Config
-	// PreprocessPool load-balances (iteration, rank) fetches across N
-	// producer servers with deterministic assignment, health tracking,
-	// failover and bounded admission.
-	PreprocessPool = preprocess.Pool
-	// PreprocessPoolConfig parameterises a PreprocessPool.
-	PreprocessPoolConfig = preprocess.PoolConfig
 	// ProducerFleet runs N in-process producers; it satisfies the
 	// trainer's ProducerControl, so scenario producer-fail /
 	// producer-join events kill and restore members mid-run.
 	ProducerFleet = preprocess.Fleet
-	// PreprocessService is the fleet-shared preprocessing tier: one
-	// producer fleet multiplexing every tenant's fetches with
-	// weighted fair queueing, per-tenant admission quotas and
-	// partitioned caches. PreprocessTenant is one tenant's fetch
-	// handle on it (a drop-in Fetcher for the trainer's PoolSource).
+	// PreprocessService is the consumer side of disaggregated
+	// preprocessing: one producer fleet multiplexing every tenant's
+	// (iteration, rank) fetches with deterministic assignment,
+	// failover, weighted fair queueing, per-tenant admission quotas
+	// and partitioned caches. A single job registers one tenant.
+	// PreprocessTenant is one tenant's fetch handle on it, the
+	// argument to UsePreprocessPool.
 	PreprocessService       = preprocess.Service
 	PreprocessServiceConfig = preprocess.ServiceConfig
 	PreprocessTenant        = preprocess.Tenant
 	PreprocessTenantConfig  = preprocess.TenantConfig
-	// PreprocessFetcher is the consumer seam both PreprocessPool and
-	// PreprocessTenant satisfy.
-	PreprocessFetcher = preprocess.Fetcher
 	// PoolMetrics collects pool fetch latency, failovers, rejections
 	// and cache hit rate; PoolSnapshot is its point-in-time copy.
 	PoolMetrics  = metrics.PoolStats
@@ -175,11 +169,8 @@ type (
 	// FleetScheduler decides admission order, lease sizing and
 	// placement for a fleet run: FleetFIFO, FleetFairShare,
 	// FleetPriority, or a custom implementation registered with
-	// RegisterFleetScheduler. FleetPolicy is the historical name of
-	// the same interface (it predates the redesign, when policies
-	// were an int enum).
+	// RegisterFleetScheduler.
 	FleetScheduler = fleet.Scheduler
-	FleetPolicy    = fleet.Scheduler
 	// FleetJobView and FleetOps are what a custom FleetScheduler
 	// sees: read-only tenant views and the runner's mutation surface
 	// (shrink / grow / preempt, all costed checkpoint-reconfigures).
@@ -393,14 +384,10 @@ type UnplannedConfigError struct{}
 
 func (e *UnplannedConfigError) Error() string { return "disttrain: config has no plan" }
 
-// NewPreprocessPool builds a consumer-side producer pool.
-func NewPreprocessPool(cfg PreprocessPoolConfig) (*PreprocessPool, error) {
-	return preprocess.NewPool(cfg)
-}
-
-// NewPreprocessService builds the fleet-shared preprocessing tier over
-// a set of producers: register tenants with Service.Register and point
-// each training configuration at its handle with UsePreprocessPool.
+// NewPreprocessService builds the consumer-side preprocessing tier
+// over a set of producers: register one tenant per job with
+// Service.Register and point each training configuration at its
+// handle with UsePreprocessPool.
 func NewPreprocessService(cfg PreprocessServiceConfig) (*PreprocessService, error) {
 	return preprocess.NewService(cfg)
 }
@@ -412,10 +399,9 @@ func StartProducerFleet(cfg PreprocessConfig, n int) (*ProducerFleet, error) {
 }
 
 // UsePreprocessPool points a training configuration's batch front-end
-// at a live producer fetcher — a private *PreprocessPool or a
-// *PreprocessTenant handle on a shared service: microbatches come over
+// at a tenant handle on a PreprocessService: microbatches come over
 // TCP with failover instead of from the synthetic corpus path.
-func UsePreprocessPool(cfg *TrainConfig, pool PreprocessFetcher) {
+func UsePreprocessPool(cfg *TrainConfig, pool *PreprocessTenant) {
 	cfg.Source = &trainer.PoolSource{Pool: pool, Samples: cfg.Corpus}
 	cfg.DisaggregatedPreprocess = true
 }
@@ -493,10 +479,15 @@ func NewLease(nodes ...int) Lease { return cluster.NewLease(nodes...) }
 
 // ParseFleetPolicy resolves a policy name (fifo, fair-share,
 // priority, or any name registered via RegisterFleetScheduler) to its
-// FleetScheduler.
-func ParseFleetPolicy(s string) (FleetPolicy, error) {
-	//lint:ignore SA1019 this facade is the compatibility surface the deprecated shim exists for; it keeps the "fair" alias that LookupScheduler alone drops.
-	return fleet.ParsePolicy(s)
+// FleetScheduler. "fair" stays accepted as an alias for "fair-share".
+func ParseFleetPolicy(s string) (FleetScheduler, error) {
+	if s == "fair" {
+		s = "fair-share"
+	}
+	if sched, ok := fleet.LookupScheduler(s); ok {
+		return sched, nil
+	}
+	return nil, fmt.Errorf("disttrain: unknown fleet policy %q (registered: %v)", s, fleet.SchedulerNames())
 }
 
 // ParseFleetClass validates a priority-class name ("" means normal).

@@ -1,6 +1,8 @@
 package disttrain
 
 import (
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -79,6 +81,39 @@ func TestExperimentRegistry(t *testing.T) {
 		t.Error("empty render")
 	}
 }
+
+// ParseFleetPolicy resolves through the scheduler registry: built-in
+// and custom registered names, plus the historical "fair" alias; an
+// unknown name's error lists what is registered.
+func TestParseFleetPolicy(t *testing.T) {
+	if s, err := ParseFleetPolicy("fair"); err != nil || s.Name() != "fair-share" {
+		t.Errorf(`ParseFleetPolicy("fair") = %v, %v`, s, err)
+	}
+	// Register once: the registry is process-global, so -count reruns
+	// must tolerate the name already existing.
+	if !slices.Contains(FleetSchedulerNames(), "facade-custom") {
+		if err := RegisterFleetScheduler(customScheduler{FleetFIFO}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s, err := ParseFleetPolicy("facade-custom"); err != nil || s.Name() != "facade-custom" {
+		t.Errorf(`ParseFleetPolicy("facade-custom") = %v, %v`, s, err)
+	}
+	_, err := ParseFleetPolicy("lifo")
+	if err == nil {
+		t.Fatal("unknown fleet policy accepted")
+	}
+	for _, name := range []string{"fifo", "fair-share", "priority", "facade-custom"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-policy error %q does not list %q", err, name)
+		}
+	}
+}
+
+// customScheduler registers FIFO under another name.
+type customScheduler struct{ FleetScheduler }
+
+func (customScheduler) Name() string { return "facade-custom" }
 
 func TestFacadeFleet(t *testing.T) {
 	spec, corpus, err := NewSpec(MLLM9B(), 4, 32)

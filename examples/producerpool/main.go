@@ -1,7 +1,8 @@
 // Producer pool: runs an elastic fleet of three disaggregated
-// preprocessing producers, trains against them through the failover
-// pool, kills one producer mid-run via a scenario event and brings it
-// back two iterations later — the §5/§8 elasticity story end to end.
+// preprocessing producers, trains against them through a 1-tenant
+// preprocessing service, kills one producer mid-run via a scenario
+// event and brings it back two iterations later — the §5/§8
+// elasticity story end to end.
 // The run's results are identical to a single-producer run; only the
 // pool metrics (failovers, fetch latency) show the churn.
 //
@@ -42,18 +43,23 @@ func main() {
 		fmt.Printf("  producer %d on %s\n", i, addr)
 	}
 
-	// The consumer-side pool: deterministic (iteration, rank)
+	// The consumer side: a preprocessing service with one tenant at
+	// the plan's backbone DP width — deterministic (iteration, rank)
 	// assignment, health tracking, failover, bounded admission.
 	stats := &disttrain.PoolMetrics{}
-	pool, err := disttrain.NewPreprocessPool(disttrain.PreprocessPoolConfig{
+	svc, err := disttrain.NewPreprocessService(disttrain.PreprocessServiceConfig{
 		Addrs: fleet.Addrs(),
 		Stats: stats,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer pool.Close()
-	disttrain.UsePreprocessPool(&cfg, pool)
+	defer svc.Close()
+	tenant, err := svc.Register(disttrain.PreprocessTenantConfig{Name: "example", DP: pcfg.DPSize})
+	if err != nil {
+		log.Fatal(err)
+	}
+	disttrain.UsePreprocessPool(&cfg, tenant)
 
 	// Producer 1 dies at iteration 2 and rejoins at iteration 4; the
 	// fleet implements ProducerControl, so the events act on real TCP

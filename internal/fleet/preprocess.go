@@ -23,8 +23,9 @@ type PreprocessConfig struct {
 	Producers int
 	// Server configures each producer (Source, GlobalBatch, Microbatch,
 	// Workers, Readahead, ...). Every tenant fetches tenant-keyed at
-	// its own DP width, so DPSize only backs the legacy single-tenant
-	// opcode and defaults to 1. The batch geometry is fleet-wide: jobs
+	// its own DP width, so the fleet never uses DPSize (it only sizes
+	// the split a bare preprocess.Client fetches) and it defaults to
+	// 1. The batch geometry is fleet-wide: jobs
 	// whose GlobalBatch is not divisible by their DP×Microbatch get a
 	// deterministic producer rejection.
 	Server preprocess.Config

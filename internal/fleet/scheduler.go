@@ -144,7 +144,7 @@ var (
 )
 
 // RegisterScheduler adds a Scheduler to the name-keyed registry that
-// ParsePolicy and the CLI -policy flag resolve against. The built-in
+// LookupScheduler and the CLI -policy flag resolve against. The built-in
 // fifo, fair-share and priority schedulers are pre-registered;
 // re-registering an existing name is an error.
 func RegisterScheduler(s Scheduler) error {
@@ -187,23 +187,6 @@ func init() {
 			panic(err)
 		}
 	}
-}
-
-// ParsePolicy resolves a policy name ("fifo", "fair-share",
-// "priority", or any registered custom name) to its Scheduler. "fair"
-// stays accepted as an alias for "fair-share".
-//
-// Deprecated: ParsePolicy predates the scheduler registry (it used to
-// return the Policy int enum). Use LookupScheduler; this shim keeps
-// existing CLI invocations and configs working unchanged.
-func ParsePolicy(s string) (Scheduler, error) {
-	if s == "fair" {
-		s = "fair-share"
-	}
-	if sched, ok := LookupScheduler(s); ok {
-		return sched, nil
-	}
-	return nil, fmt.Errorf("fleet: unknown policy %q (registered: %v)", s, SchedulerNames())
 }
 
 // fifoScheduler implements the FIFO policy.

@@ -169,17 +169,17 @@ func shadowLeased(shadow map[int]int) []int {
 	return out
 }
 
-// TestPolicyParse covers the CLI policy names.
+// TestPolicyParse covers the built-in policy names the CLI resolves.
 func TestPolicyParse(t *testing.T) {
 	for s, want := range map[string]Scheduler{
-		"fifo": FIFO, "fair-share": FairShare, "fair": FairShare, "priority": Priority,
+		"fifo": FIFO, "fair-share": FairShare, "priority": Priority,
 	} {
-		got, err := ParsePolicy(s)
-		if err != nil || got.Name() != want.Name() {
-			t.Errorf("ParsePolicy(%q) = %v, %v", s, got, err)
+		got, ok := LookupScheduler(s)
+		if !ok || got.Name() != want.Name() {
+			t.Errorf("LookupScheduler(%q) = %v, %v", s, got, ok)
 		}
 	}
-	if _, err := ParsePolicy("lifo"); err == nil {
+	if _, ok := LookupScheduler("lifo"); ok {
 		t.Error("unknown policy accepted")
 	}
 	if FIFO.Name() != "fifo" || FairShare.Name() != "fair-share" || Priority.Name() != "priority" {

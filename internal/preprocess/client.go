@@ -26,7 +26,7 @@ type Client struct {
 func Dial(addr string) (*Client, error) { return DialTimeout(addr, 0) }
 
 // DialTimeout connects to a producer, bounding the connection attempt
-// (0 means the operating system default). The pool uses a short bound
+// (0 means the operating system default). The Service uses a short bound
 // so a dead producer fails over in milliseconds, not minutes.
 func DialTimeout(addr string, d time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, d)

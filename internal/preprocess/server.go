@@ -272,7 +272,7 @@ func (s *Server) handle(conn net.Conn) {
 			rb, err := s.FetchTenant(tenant, dp, iter, rank)
 			if err != nil {
 				// Shutdown is a transport event, not a protocol answer:
-				// dropping the connection makes the client's pool fail
+				// dropping the connection makes the consuming Service fail
 				// over, whereas an opError frame would be classified as
 				// a deterministic ServerError and returned to the
 				// caller unretried.
@@ -630,7 +630,7 @@ func writeBatch(w *bufio.Writer, rb *RankBatch) error {
 
 // ServerError is a protocol-level error frame sent by a producer — a
 // deterministic rejection (bad rank, failed build), not a transport
-// failure, so pool clients must not fail over on it.
+// failure, so consumers must not fail over on it.
 type ServerError struct{ Msg string }
 
 func (e *ServerError) Error() string { return "preprocess: server error: " + e.Msg }

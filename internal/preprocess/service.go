@@ -11,30 +11,11 @@ import (
 	"disttrain/internal/metrics"
 )
 
-// Fetcher is the consumer seam over disaggregated preprocessing: one
-// (iteration, rank) batch per call, plus the admission bound a caller
-// fanning out concurrent fetches must respect. *Pool satisfies it (a
-// private producer pool), and so does the per-tenant handle a shared
-// Service issues — the trainer's PoolSource runs on either without
-// knowing which.
-type Fetcher interface {
-	Fetch(ctx context.Context, iter int64, rank int) (*RankBatch, error)
-	MaxInflight() int
-}
-
-// DPAware is implemented by fetchers that multiplex tenants with
-// differing data-parallel widths (the Service's tenant handle): the
-// front-end announces its current width before fanning out, so elastic
-// lease resizes reshape the producer-side split without re-registering.
-type DPAware interface {
-	SetDP(dp int)
-}
-
-// Service is the fleet-shared preprocessing tier (§5 at fleet scope):
-// one elastic producer fleet multiplexing every tenant's (tenant,
-// iteration, rank) fetches. Where a Pool is one job's private consumer,
-// the Service multiplexes many tenants over the same members and makes
-// the sharing safe and fair:
+// Service is the consumer side of disaggregated preprocessing (§5,
+// §8): one elastic producer fleet multiplexing every tenant's (tenant,
+// iteration, rank) fetches. A single job is a 1-tenant Service; a
+// fleet registers every job on one Service, which makes the sharing
+// safe and fair:
 //
 //   - Per-tenant admission quotas: each tenant holds at most its quota
 //     of in-flight fetches; a tenant saturating its quota is rejected
@@ -50,12 +31,10 @@ type DPAware interface {
 //     its own watermark floor, so one tenant's lagging rank can never
 //     evict another tenant's batches.
 //
-// Failover is the Pool's: every fetch has a deterministic primary
-// member (tenant 0's assignment is identical to a private Pool's, which
-// pins the 1-tenant service byte-identical to the pool it replaces),
-// dead members sit out a cooldown, and batch contents never change
-// across members — producers are deterministic functions of the
-// request.
+// Failover: every fetch has a deterministic primary member, a pure
+// function of (tenant, iteration, rank); dead members sit out a
+// cooldown, and batch contents never change across members —
+// producers are deterministic functions of the request.
 type Service struct {
 	cfg     ServiceConfig
 	members []*poolMember
@@ -75,19 +54,21 @@ type ServiceConfig struct {
 	Addrs []string
 	// Capacity bounds in-flight fetches across all tenants — the
 	// producer-side concurrency the weighted fair queue arbitrates
-	// (default 2*len(Addrs), the Pool's MaxInflight default).
+	// (default 2*len(Addrs)).
 	Capacity int
 	// AdmitTimeout is how long a fetch waits for admission (quota and
 	// shared capacity) before being rejected with ErrPoolSaturated
 	// (default 5s).
 	AdmitTimeout time.Duration
-	// FailureCooldown, DialTimeout and FetchTimeout are the Pool's
-	// failover knobs (defaults 2s, 2s, 60s).
+	// FailureCooldown, DialTimeout and FetchTimeout are the failover
+	// knobs: how long a failed producer sits out, and the bounds on
+	// one connection attempt and one request (defaults 2s, 2s, 60s).
 	FailureCooldown time.Duration
 	DialTimeout     time.Duration
 	FetchTimeout    time.Duration
 	// CacheCap bounds each tenant's private batch cache in entries
-	// (default 256).
+	// (default 256), even when a stalled rank freezes the watermark
+	// floor.
 	CacheCap int
 	// Stats, when non-nil, receives the aggregate counters; per-tenant
 	// counters land in labeled children (metrics.PoolStats.Labeled).
@@ -118,6 +99,9 @@ type svcWaiter struct {
 }
 
 var errServiceClosed = errors.New("preprocess: service closed")
+
+// ErrPoolSaturated reports a fetch rejected by bounded admission.
+var ErrPoolSaturated = errors.New("preprocess: pool saturated, fetch rejected")
 
 // NewService builds a shared service over the given producer
 // addresses. Connections are dialed lazily on first use.
@@ -335,10 +319,12 @@ func (s *Service) grantLocked() {
 	}
 }
 
-// fetchWithFailover walks the failover ring starting at the tenant's
-// deterministic primary — the Pool's walk, tenant-offset so different
-// tenants spread their load across different members. Tenant 0's
-// primaries are exactly a private Pool's.
+// fetchWithFailover walks the failover ring starting at the fetch's
+// deterministic primary, tenant-offset so different tenants spread
+// their load across different members. Members inside their failure
+// cooldown are skipped (each skip is a failover) unless every member
+// is down, in which case all are retried — the path through which a
+// recovered fleet comes back without external coordination.
 func (s *Service) fetchWithFailover(ctx context.Context, t *Tenant, dp int, iter int64, rank int) (*RankBatch, error) {
 	n := len(s.members)
 	prim := int((uint64(iter)*1000003 + uint64(rank) + uint64(t.id)*7919) % uint64(n))
@@ -386,9 +372,8 @@ type tenantKey struct {
 	dp   int
 }
 
-// Tenant is one tenant's fetch handle on a shared Service. It
-// implements Fetcher (and DPAware), so the trainer's PoolSource drives
-// it exactly like a private Pool.
+// Tenant is one tenant's fetch handle on a Service; the trainer's
+// PoolSource drives it.
 type Tenant struct {
 	svc    *Service
 	id     int
@@ -436,9 +421,11 @@ func (t *Tenant) SetQuota(n int) {
 	t.svc.mu.Unlock()
 }
 
-// SetDP announces the tenant's current data-parallel width
-// (DPAware). Watermark entries for ranks the new geometry no longer
-// has are dropped so they cannot freeze the eviction floor.
+// SetDP announces the tenant's current data-parallel width; the
+// front-end calls it before each fan-out, so elastic lease resizes
+// reshape the producer-side split without re-registering. Watermark
+// entries for ranks the new geometry no longer has are dropped so
+// they cannot freeze the eviction floor.
 func (t *Tenant) SetDP(dp int) {
 	if dp < 1 {
 		return
@@ -501,8 +488,8 @@ func (t *Tenant) Fetch(ctx context.Context, iter int64, rank int) (*RankBatch, e
 
 // evictLocked drops cache entries below the tenant's own minimum
 // per-rank watermark, with the service CacheCap as the oldest-first
-// backstop — the Pool's eviction contract, scoped to one tenant's
-// partition. Callers hold t.cmu.
+// backstop — the producer cache's eviction contract, scoped to one
+// tenant's partition. Callers hold t.cmu.
 func (t *Tenant) evictLocked() {
 	if len(t.watermark) > 0 {
 		min := int64(0)
@@ -528,4 +515,75 @@ func (t *Tenant) evictLocked() {
 		}
 		delete(t.cache, oldest)
 	}
+}
+
+// poolMember is one producer plus its health state.
+type poolMember struct {
+	addr string
+
+	mu        sync.Mutex
+	client    *Client
+	downUntil time.Time
+	closed    bool
+}
+
+// available reports whether the member is outside its failure cooldown.
+func (m *poolMember) available(now time.Time) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return now.After(m.downUntil)
+}
+
+// markDown opens the member's failure cooldown and drops its
+// connection so the next attempt re-dials.
+func (m *poolMember) markDown(until time.Time) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if until.After(m.downUntil) {
+		m.downUntil = until
+	}
+	if m.client != nil {
+		m.client.Close()
+		m.client = nil
+	}
+}
+
+// fetchTenant runs one tenant-keyed request at the tenant's DP width
+// against this member. The member lock serialises requests on the
+// shared connection (the Client serialises anyway; holding the lock
+// keeps dial/teardown atomic with the request).
+func (m *poolMember) fetchTenant(ctx context.Context, dialTO, fetchTO time.Duration, tenant uint32, dp int, iter int64, rank int) (*RankBatch, error) {
+	return m.do(dialTO, fetchTO, func(c *Client) (*RankBatch, error) {
+		return c.FetchTenant(ctx, tenant, dp, iter, rank)
+	})
+}
+
+// do runs one request callback against this member's lazily-dialed
+// client, dropping the connection on transport failure (a ServerError
+// is a protocol answer: the connection stays).
+func (m *poolMember) do(dialTO, fetchTO time.Duration, call func(*Client) (*RankBatch, error)) (*RankBatch, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, errServiceClosed
+	}
+	if m.client == nil {
+		c, err := DialTimeout(m.addr, dialTO)
+		if err != nil {
+			return nil, err
+		}
+		c.SetTimeout(fetchTO)
+		m.client = c
+	}
+	rb, err := call(m.client)
+	if err != nil {
+		var se *ServerError
+		if !errors.As(err, &se) {
+			// Transport failure: the connection is suspect either way.
+			m.client.Close()
+			m.client = nil
+		}
+		return nil, err
+	}
+	return rb, nil
 }

@@ -7,8 +7,27 @@ import (
 	"testing"
 	"time"
 
+	"disttrain/internal/data"
 	"disttrain/internal/metrics"
 )
+
+func fleetConfig() Config {
+	return Config{
+		Source:      fixedSource{images: 1, resolution: 32, seqLen: 128},
+		GlobalBatch: 8, DPSize: 2, Microbatch: 1, Workers: 4,
+	}
+}
+
+// slowSource delays every sample, making builds take visible time.
+type slowSource struct {
+	inner fixedSource
+	delay time.Duration
+}
+
+func (s slowSource) Sample(index int64) data.Sample {
+	time.Sleep(s.delay)
+	return s.inner.Sample(index)
+}
 
 func testService(t *testing.T, fleet *Fleet, cfg ServiceConfig) *Service {
 	t.Helper()
@@ -27,22 +46,90 @@ func testService(t *testing.T, fleet *Fleet, cfg ServiceConfig) *Service {
 	return svc
 }
 
-// Tenant 0 of a shared service is byte-identical to a private pool
-// over the same producer fleet: same deterministic primary assignment
-// (the tenant offset vanishes at id 0), same tenant-0 server batches —
-// the pin that makes the service a drop-in replacement for the pool.
-func TestServiceTenantZeroMatchesPool(t *testing.T) {
+// testTenant builds a 1-tenant service at the fleet's DP width: the
+// consumer a single training job runs on.
+func testTenant(t *testing.T, fleet *Fleet, cfg ServiceConfig) *Tenant {
+	t.Helper()
+	tn, err := testService(t, fleet, cfg).Register(TenantConfig{Name: "only", DP: fleetConfig().DPSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tn
+}
+
+// sameBatch fails the test when two rank batches differ in any
+// microbatch, sample index or token payload.
+func sameBatch(t *testing.T, got, want *RankBatch, iter int64, rank int) {
+	t.Helper()
+	if len(got.Microbatches) != len(want.Microbatches) {
+		t.Fatalf("iter %d rank %d: %d microbatches, want %d",
+			iter, rank, len(got.Microbatches), len(want.Microbatches))
+	}
+	for j := range got.Microbatches {
+		if len(got.Microbatches[j]) != len(want.Microbatches[j]) {
+			t.Fatalf("iter %d rank %d mb %d: %d samples, want %d",
+				iter, rank, j, len(got.Microbatches[j]), len(want.Microbatches[j]))
+		}
+		for k := range got.Microbatches[j] {
+			g, w := got.Microbatches[j][k], want.Microbatches[j][k]
+			if g.SampleIndex != w.SampleIndex || !bytes.Equal(g.TokenPayload, w.TokenPayload) {
+				t.Fatalf("iter %d rank %d mb %d sample %d differs", iter, rank, j, k)
+			}
+		}
+	}
+}
+
+// A 1-tenant service fetch must return exactly what a direct
+// tenant-keyed fetch from every single producer returns: producers are
+// stateless deterministic functions of the request, so routing cannot
+// change the data.
+func TestPoolMatchesDirectFetch(t *testing.T) {
 	fleet, err := StartFleet(fleetConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	pool := testPool(t, fleet, nil)
-	svc := testService(t, fleet, ServiceConfig{})
-	tn, err := svc.Register(TenantConfig{Name: "only", DP: 2})
+	tn := testTenant(t, fleet, ServiceConfig{})
+
+	ctx := context.Background()
+	for _, addr := range fleet.Addrs() {
+		client, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		for iter := int64(0); iter < 3; iter++ {
+			for rank := 0; rank < 2; rank++ {
+				got, err := tn.Fetch(ctx, iter, rank)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := client.FetchTenant(ctx, 0, 2, iter, rank)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBatch(t, got, want, iter, rank)
+			}
+		}
+	}
+}
+
+// Tenant 0 at the producers' own DP width is byte-identical to a bare
+// Client.Fetch, the path the Fig. 17 reproduction and the
+// preprocessing example use: the tenant-keyed and the plain wire ops
+// split a batch identically when the widths agree.
+func TestServiceTenantZeroMatchesClientFetch(t *testing.T) {
+	fleet, err := StartFleet(fleetConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(fleet.Close)
+	tn := testTenant(t, fleet, ServiceConfig{})
+	client, err := Dial(fleet.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
 
 	ctx := context.Background()
 	for iter := int64(0); iter < 4; iter++ {
@@ -51,23 +138,192 @@ func TestServiceTenantZeroMatchesPool(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := pool.Fetch(ctx, iter, rank)
+			want, err := client.Fetch(ctx, iter, rank)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.Microbatches) != len(want.Microbatches) {
-				t.Fatalf("iter %d rank %d: %d microbatches, want %d",
-					iter, rank, len(got.Microbatches), len(want.Microbatches))
-			}
-			for j := range got.Microbatches {
-				for k := range got.Microbatches[j] {
-					g, w := got.Microbatches[j][k], want.Microbatches[j][k]
-					if g.SampleIndex != w.SampleIndex || !bytes.Equal(g.TokenPayload, w.TokenPayload) {
-						t.Fatalf("iter %d rank %d mb %d sample %d differs between service and pool", iter, rank, j, k)
-					}
+			sameBatch(t, got, want, iter, rank)
+		}
+	}
+}
+
+// Killing a producer mid-stream must not fail a single fetch: the
+// service fails over to survivors, records the failovers, and picks
+// the dead member back up after it rejoins and its cooldown expires.
+func TestPoolFailoverAndRecovery(t *testing.T) {
+	fleet, err := StartFleet(fleetConfig(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	stats := &metrics.PoolStats{}
+	tn := testTenant(t, fleet, ServiceConfig{Stats: stats})
+
+	ctx := context.Background()
+	fetchAll := func(lo, hi int64) {
+		t.Helper()
+		for iter := lo; iter < hi; iter++ {
+			for rank := 0; rank < 2; rank++ {
+				if _, err := tn.Fetch(ctx, iter, rank); err != nil {
+					t.Fatalf("iter %d rank %d: %v", iter, rank, err)
 				}
 			}
 		}
+	}
+	fetchAll(0, 2)
+	if got := stats.Snapshot().Failovers; got != 0 {
+		t.Fatalf("healthy fleet recorded %d failovers", got)
+	}
+
+	if err := fleet.FailProducer(1); err != nil {
+		t.Fatal(err)
+	}
+	fetchAll(2, 6) // primaries rotate over all members, so some land on 1
+	snap := stats.Snapshot()
+	if snap.Failovers == 0 {
+		t.Fatal("no failovers recorded with a dead producer")
+	}
+
+	if err := fleet.JoinProducer(1); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(80 * time.Millisecond) // past the failure cooldown
+	fetchAll(6, 10)
+	after := stats.Snapshot()
+	if after.Fetches != 20 {
+		t.Fatalf("fetches = %d, want 20", after.Fetches)
+	}
+	// The rejoined member serves again: over iters 6..9 x 2 ranks, at
+	// least one primary lands on member 1, and those fetches must not
+	// add failovers once it is back.
+	if after.Failovers != snap.Failovers {
+		t.Errorf("failovers kept climbing after rejoin: %d -> %d", snap.Failovers, after.Failovers)
+	}
+}
+
+// Bounded admission: with the only slot taken, a fetch is rejected
+// with ErrPoolSaturated instead of queueing unboundedly.
+func TestPoolBoundedAdmission(t *testing.T) {
+	cfg := fleetConfig()
+	cfg.Source = slowSource{fixedSource{images: 1, resolution: 32, seqLen: 128}, 300 * time.Millisecond}
+	fleet, err := StartFleet(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	stats := &metrics.PoolStats{}
+	tn := testTenant(t, fleet, ServiceConfig{
+		Capacity:     1,
+		AdmitTimeout: 30 * time.Millisecond,
+		Stats:        stats,
+	})
+
+	ctx := context.Background()
+	started := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		close(started)
+		_, err := tn.Fetch(ctx, 0, 0) // slow build holds the only slot
+		done <- err
+	}()
+	<-started
+	time.Sleep(20 * time.Millisecond)
+	if _, err := tn.Fetch(ctx, 0, 1); !errors.Is(err, ErrPoolSaturated) {
+		t.Fatalf("saturated service returned %v, want ErrPoolSaturated", err)
+	}
+	if got := stats.Snapshot().Rejections; got != 1 {
+		t.Errorf("rejections = %d, want 1", got)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("admitted fetch failed: %v", err)
+	}
+}
+
+// The tenant cache serves repeated fetches (failure-recovery rewinds)
+// and evicts against the minimum per-rank watermark.
+func TestPoolCacheHitAndWatermarkEviction(t *testing.T) {
+	fleet, err := StartFleet(fleetConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	stats := &metrics.PoolStats{}
+	tn := testTenant(t, fleet, ServiceConfig{Stats: stats})
+
+	ctx := context.Background()
+	if _, err := tn.Fetch(ctx, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.Fetch(ctx, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	snap := stats.Snapshot()
+	if snap.CacheHits != 1 || snap.CacheMisses != 1 {
+		t.Fatalf("cache hits/misses = %d/%d, want 1/1", snap.CacheHits, snap.CacheMisses)
+	}
+	if snap.CacheHitRate != 0.5 {
+		t.Errorf("hit rate = %g, want 0.5", snap.CacheHitRate)
+	}
+	// Advance rank 0's watermark: iterations below it leave the cache.
+	for iter := int64(1); iter < 4; iter++ {
+		if _, err := tn.Fetch(ctx, iter, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tn.Fetch(ctx, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Snapshot().CacheMisses; got != snap.CacheMisses+4 {
+		t.Errorf("evicted iteration 0 should re-fetch as a miss: misses = %d, want %d",
+			got, snap.CacheMisses+4)
+	}
+}
+
+// CacheCap backstops the tenant cache: a rank that stops fetching
+// freezes the watermark floor, but the cache still stays bounded.
+func TestPoolCacheCapBoundsStalledRank(t *testing.T) {
+	fleet, err := StartFleet(fleetConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	tn := testTenant(t, fleet, ServiceConfig{CacheCap: 4})
+
+	ctx := context.Background()
+	if _, err := tn.Fetch(ctx, 0, 1); err != nil { // rank 1 stalls at 0
+		t.Fatal(err)
+	}
+	for iter := int64(0); iter < 10; iter++ {
+		if _, err := tn.Fetch(ctx, iter, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tn.cmu.Lock()
+	n := len(tn.cache)
+	tn.cmu.Unlock()
+	if n > 4 {
+		t.Fatalf("tenant cache grew to %d entries with CacheCap 4", n)
+	}
+}
+
+// A protocol-level server rejection is deterministic, so the service
+// must not fail over on it — every producer would answer the same.
+func TestPoolServerErrorDoesNotFailOver(t *testing.T) {
+	fleet, err := StartFleet(fleetConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	stats := &metrics.PoolStats{}
+	tn := testTenant(t, fleet, ServiceConfig{Stats: stats})
+
+	_, err = tn.Fetch(context.Background(), 0, 99)
+	var se *ServerError
+	if !errors.As(err, &se) {
+		t.Fatalf("bad rank returned %v, want ServerError", err)
+	}
+	if got := stats.Snapshot().Failovers; got != 0 {
+		t.Errorf("server error triggered %d failovers", got)
 	}
 }
 

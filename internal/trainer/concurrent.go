@@ -44,10 +44,17 @@ type preparedBatch struct {
 
 // prepare fetches and assigns the global batch of one iteration
 // through the configured BatchSource — the synthetic corpus front-end
-// by default, a live TCP producer pool when Config.Source is set.
+// by default, a live TCP producer pool when Config.Source is set. A
+// batch of any size other than Spec.GlobalBatch fails the iteration:
+// a producer configured for another batch size would otherwise train
+// that many samples while MFU and tokens/s still price GlobalBatch.
 func (r *Runtime) prepare(iter int) preparedBatch {
 	dp := r.cfg.Plan.Modules[model.Backbone].Config.DP
 	batch, ranks, err := r.source.Assign(iter, dp)
+	if want := r.cfg.Spec.GlobalBatch; err == nil && len(batch) != want {
+		err = fmt.Errorf("trainer: iteration %d: batch source delivered %d samples, Spec.GlobalBatch is %d",
+			iter, len(batch), want)
+	}
 	return preparedBatch{iter: iter, batch: batch, ranks: ranks, err: err}
 }
 

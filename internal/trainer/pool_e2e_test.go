@@ -2,6 +2,8 @@ package trainer
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +54,38 @@ func newPoolHarness(t *testing.T) *poolHarness {
 	}
 }
 
+// tenant registers the one tenant of a fresh service over fleet at the
+// plan's backbone DP width — the consumer a single job trains on.
+func (h *poolHarness) tenant(t *testing.T, fleet *preprocess.Fleet, stats *metrics.PoolStats) *preprocess.Tenant {
+	t.Helper()
+	svc, err := preprocess.NewService(preprocess.ServiceConfig{
+		Addrs:           fleet.Addrs(),
+		FailureCooldown: 100 * time.Millisecond,
+		DialTimeout:     500 * time.Millisecond,
+		Stats:           stats,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	tn, err := svc.Register(preprocess.TenantConfig{Name: "only", DP: h.pcfg.DPSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tn
+}
+
+// train runs iters iterations of a fresh runtime on cfg.
+func train(t *testing.T, cfg Config, iters int) (*Result, error) {
+	t.Helper()
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	return rt.Run(iters)
+}
+
 // run trains iters iterations against a fresh fleet of n producers,
 // optionally under a scenario wired to kill/restore fleet members.
 func (h *poolHarness) run(t *testing.T, producers, iters int, scenSpec string) (*Result, metrics.PoolSnapshot) {
@@ -62,19 +96,9 @@ func (h *poolHarness) run(t *testing.T, producers, iters int, scenSpec string) (
 	}
 	defer fleet.Close()
 	stats := &metrics.PoolStats{}
-	pool, err := preprocess.NewPool(preprocess.PoolConfig{
-		Addrs:           fleet.Addrs(),
-		FailureCooldown: 100 * time.Millisecond,
-		DialTimeout:     500 * time.Millisecond,
-		Stats:           stats,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
 
 	cfg := DistTrainConfig(h.spec, h.plan, h.corpus)
-	cfg.Source = &PoolSource{Pool: pool, Samples: h.corpus}
+	cfg.Source = &PoolSource{Pool: h.tenant(t, fleet, stats), Samples: h.corpus}
 	if scenSpec != "" {
 		sc, err := scenario.Parse(scenSpec)
 		if err != nil {
@@ -83,12 +107,7 @@ func (h *poolHarness) run(t *testing.T, producers, iters int, scenSpec string) (
 		cfg.Scenario = sc
 		cfg.ProducerControl = fleet
 	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	res, err := rt.Run(iters)
+	res, err := train(t, cfg, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,46 +158,77 @@ func TestRunWithProducerPoolSurvivesChurn(t *testing.T) {
 }
 
 // With reordering off on both sides, the producer's block assignment
-// is exactly the synthetic front-end's: the pool-backed runtime and
-// the corpus-backed runtime must produce byte-identical results — the
-// BatchSource seam is behaviour-preserving.
+// is exactly the synthetic front-end's: a trainer sourcing batches
+// through a 1-tenant preprocess.Service and the corpus-backed runtime
+// must produce byte-identical results — the BatchSource seam and the
+// tenant-keyed wire path are behaviour-preserving.
 func TestPoolSourceMatchesSyntheticFrontEnd(t *testing.T) {
 	h := newPoolHarness(t)
 	h.pcfg.Reorder = false
-	const iters = 3
+	const iters = 4
 
 	fleet, err := preprocess.StartFleet(h.pcfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	pool, err := preprocess.NewPool(preprocess.PoolConfig{Addrs: fleet.Addrs()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+	stats := &metrics.PoolStats{}
 
 	base := DistTrainConfig(h.spec, h.plan, h.corpus)
 	base.Reorder = false
 
 	pooled := base
-	pooled.Source = &PoolSource{Pool: pool, Samples: h.corpus}
+	pooled.Source = &PoolSource{Pool: h.tenant(t, fleet, stats), Samples: h.corpus}
 
-	runCfg := func(cfg Config) *Result {
-		rt, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		res, err := rt.Run(iters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	a, err := train(t, base, iters)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := runCfg(base), runCfg(pooled)
+	b, err := train(t, pooled, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(a.Iterations, b.Iterations) {
 		t.Errorf("pool-backed front-end diverged from synthetic:\n got %+v\nwant %+v",
 			b.Iterations, a.Iterations)
+	}
+	if a.MFU != b.MFU || a.TokensPerSec != b.TokensPerSec {
+		t.Errorf("aggregates diverged: MFU %g vs %g, tok/s %g vs %g",
+			b.MFU, a.MFU, b.TokensPerSec, a.TokensPerSec)
+	}
+	snap := stats.Snapshot()
+	if want := int64(iters * h.pcfg.DPSize); snap.Fetches != want {
+		t.Errorf("service fetches = %d, want %d (one per iteration and rank)", snap.Fetches, want)
+	}
+	if snap.Failovers != 0 || snap.Rejections != 0 {
+		t.Errorf("healthy 1-tenant service recorded failovers=%d rejections=%d",
+			snap.Failovers, snap.Rejections)
+	}
+}
+
+// A producer built for another global batch size delivers a batch the
+// runtime would train in full while MFU and tokens/s still price
+// Spec.GlobalBatch. The iteration must fail instead, naming both
+// sizes.
+func TestPoolSourceRejectsWrongBatchSize(t *testing.T) {
+	h := newPoolHarness(t)
+	h.pcfg.GlobalBatch = 2 * h.spec.GlobalBatch
+
+	fleet, err := preprocess.StartFleet(h.pcfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	cfg := DistTrainConfig(h.spec, h.plan, h.corpus)
+	cfg.Source = &PoolSource{Pool: h.tenant(t, fleet, nil), Samples: h.corpus}
+
+	_, err = train(t, cfg, 1)
+	if err == nil {
+		t.Fatalf("trained on a %d-sample batch with Spec.GlobalBatch %d", h.pcfg.GlobalBatch, h.spec.GlobalBatch)
+	}
+	for _, n := range []int{h.pcfg.GlobalBatch, h.spec.GlobalBatch} {
+		if !strings.Contains(err.Error(), strconv.Itoa(n)) {
+			t.Errorf("error %q does not name size %d", err, n)
+		}
 	}
 }

@@ -107,14 +107,16 @@ func TrialMeanIterTime(cfg Config, batches [][]data.Sample) (float64, error) {
 
 // PoolSource sources each iteration's microbatches from a live
 // disaggregated-preprocessing producer pool over TCP: every rank's
-// preprocessed batch is fetched (with failover) from the pool, then
-// mapped back to corpus samples by index so the runtime can price the
-// iteration's compute. The producers own assignment and reordering;
-// the trainer consumes their decisions — the §5 division of labour.
+// preprocessed batch is fetched (with failover) through a tenant of a
+// preprocess.Service, then mapped back to corpus samples by index so
+// the runtime can price the iteration's compute. The producers own
+// assignment and reordering; the trainer consumes their decisions —
+// the §5 division of labour.
 type PoolSource struct {
-	// Pool is the producer fetcher: a private *preprocess.Pool or a
-	// tenant handle on a fleet-shared *preprocess.Service.
-	Pool preprocess.Fetcher
+	// Pool is the job's tenant handle on a preprocess.Service: a
+	// 1-tenant Service for a single job, the fleet-shared one in a
+	// fleet.
+	Pool *preprocess.Tenant
 	// Samples recovers full sample metadata by index (*data.Corpus
 	// satisfies it); producers ship token payloads, not the simulation
 	// shapes.
@@ -128,12 +130,10 @@ func (ps *PoolSource) Assign(iter, dp int) ([]data.Sample, [][]data.Sample, erro
 	if ps.Pool == nil || ps.Samples == nil {
 		return nil, nil, fmt.Errorf("trainer: PoolSource needs both Pool and Samples")
 	}
-	// A DP-aware fetcher (a shared-service tenant) learns the current
-	// geometry before the fan-out: elastic resizes reshape the
-	// producer-side split without re-registering the tenant.
-	if s, ok := ps.Pool.(preprocess.DPAware); ok {
-		s.SetDP(dp)
-	}
+	// The tenant learns the current geometry before the fan-out:
+	// elastic resizes reshape the producer-side split without
+	// re-registering it.
+	ps.Pool.SetDP(dp)
 	ranks := make([][]data.Sample, dp)
 	errs := make([]error, dp)
 	workers := ps.Pool.MaxInflight()
