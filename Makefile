@@ -26,8 +26,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# test also runs the nested perfbench module's tests: the root
+# `./...` never enters it, so an API change that breaks the benchmark's
+# build or its oracles would otherwise surface only when it runs.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 
 # race runs -short: the full scenario matrix (trainer scenario tests)
 # runs without the race detector in `make test`, keeping the slow

@@ -738,13 +738,13 @@ func BenchmarkTrainerIteration(b *testing.B) {
 // cold burst: 16 jobs with distinct batch geometries — 16 distinct
 // plan fingerprints — all arriving at round 0 against a fresh private
 // plan cache, so every op pays 16 cold §4.3 searches. The inline
-// variant is the legacy round-blocking admission (the recorded
-// baseline the pipelined rate is judged against); the pipelined
-// variant reserves leases immediately and batches the misses into
-// shared sample-bounded waves on a 4-planner pool. The gated rate is
-// cpu-iters/s — training iterations per process-CPU second — so the
-// pipelined win has to come from the sample-bounded search doing
-// less arithmetic, not from overlap hiding wall-clock. The
+// variant (Planners 0, its name kept because it is a gated baseline
+// name) is pipelined admission at zero planning latency: each cold
+// search runs in the admitting round, one spec at a time; the
+// pipelined variant batches the misses into shared waves on a
+// 4-planner pool. Both run the same sample-bounded search. The gated
+// rate is cpu-iters/s — training iterations per process-CPU second —
+// so neither variant can win by overlap hiding wall-clock. The
 // deterministic tripwire is allocs/op (one-sided, like every fleet
 // gate); the rate band self-widens to ±60% because 16 cold searches
 // allocate enough per op for GC scheduling to move medians.

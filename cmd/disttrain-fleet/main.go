@@ -7,11 +7,12 @@
 // cache — identical jobs pay for a single §4.3 search. The fleet-scope
 // scenario grammar injects arrivals, departures, node failures/rejoins,
 // priority storms and herd bursts; -trace writes the merged per-job
-// Chrome-trace timeline (atomically: temp file + rename). With
-// -planners N admission is pipelined: the lease is reserved up front,
-// the plan search runs on an async pool overlapping running tenants,
-// and the job lands at a deterministic round from a costed
-// planning-latency model.
+// Chrome-trace timeline (atomically: temp file + rename). Admission is
+// pipelined: the lease is reserved up front and the job lands at a
+// deterministic round. By default the plan lands in the reserving
+// round; with -planners N the plan search runs on an async pool
+// overlapping running tenants, and the landing round comes from a
+// costed planning-latency model.
 //
 // Examples:
 //
@@ -56,7 +57,7 @@ func main() {
 		producers = flag.Int("producers", 0, "shared preprocessing producers (0 = no shared tier); jobs fetch batches over TCP with per-tenant quotas and weighted fair queueing")
 		slots     = flag.Int("preprocess-slots", 2, "per-tenant admission quota per leased node on the shared tier")
 		cacheDir  = flag.String("plan-cache-dir", "", "durable plan-cache directory: plans persist across runs, repeated specs skip the search entirely, and new lease sizes warm-start from their neighbours")
-		planners  = flag.Int("planners", 0, "async planner pool size for pipelined admission (0 = legacy inline search, -1 = sequential pipelined reference); admission reserves the lease and overlaps the §4.3 search with running tenants, landing at a deterministic round")
+		planners  = flag.Int("planners", 0, "async planner pool size for pipelined admission (0 = zero planning latency: the plan lands in the reserving round and nothing is planned ahead; -1 = sequential pipelined reference); with N > 0 the §4.3 search overlaps running tenants and lands at a deterministic round")
 	)
 	profile := prof.Register(flag.CommandLine)
 	flag.Parse()

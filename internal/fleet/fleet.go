@@ -91,15 +91,17 @@ type Config struct {
 	// mean GOMAXPROCS. Results and traces are byte-identical at any
 	// value.
 	Workers int
-	// Planners selects the admission mode. 0 (the default) keeps
-	// admission inline: the head's cold §4.3 search runs synchronously
-	// and stalls the round. Values > 0 pipeline admission: the lease is
-	// reserved immediately, the search runs on a background planner
-	// pool of that size (misses batch into shared sample-bounded
-	// waves), running tenants keep stepping, and the plan lands at a
-	// deterministic round from the costed planning-latency model.
-	// SequentialPlanners (-1) runs the same pipelined admission logic
-	// with synchronous searches — the reference mode whose results and
+	// Planners selects the planner pool and the planning-latency model
+	// of pipelined admission, the one admission path: the lease is
+	// reserved immediately and the plan lands at a deterministic round.
+	// 0 (the default) is pipelined admission with zero planning latency:
+	// the head's §4.3 search runs in the admitting goroutine, the plan
+	// lands in the reserving round, and nothing is planned ahead.
+	// Values > 0 run searches on a background planner pool of that size
+	// (misses batch into shared waves), running tenants keep stepping,
+	// and each plan lands at a round from the costed latency model.
+	// SequentialPlanners (-1) prices latency the same way but runs
+	// every search synchronously — the reference mode whose results and
 	// traces every pool size must reproduce byte-identically.
 	Planners int
 	// Trace enables per-job Chrome-trace timelines and the merged
@@ -111,9 +113,9 @@ type Config struct {
 	OnRound func(RoundInfo)
 }
 
-// SequentialPlanners is the Config.Planners reference mode: pipelined
-// admission semantics (reservations, landing rounds, coalescing) with
-// every search executed synchronously at its enqueue point. Planner
+// SequentialPlanners is the Config.Planners reference mode: costed
+// landing rounds and coalescing with every search executed
+// synchronously at its enqueue point. Planner
 // pools of any size must reproduce this mode's results byte for byte.
 const SequentialPlanners = -1
 
@@ -189,7 +191,7 @@ type Result struct {
 	// search instead of starting one (herds of near-identical
 	// admissions collapse here); PlanOverlapRounds counts rounds where
 	// at least one background search overlapped at least one training
-	// step. Both zero unless Config.Planners is non-zero.
+	// step. Both zero at zero planning latency (Config.Planners 0).
 	PlanCoalesced     int64
 	PlanOverlapRounds int
 	// Trace is the merged fleet timeline (per-job lanes PID-offset
@@ -207,7 +209,8 @@ const (
 	stateRunning
 	stateDone
 	// statePlanning: lease reserved, §4.3 search in flight, plan lands
-	// at tenant.landing. Pipelined admission modes only.
+	// at tenant.landing (a later round: zero-latency plans land at
+	// once).
 	statePlanning
 )
 
@@ -239,9 +242,9 @@ type tenant struct {
 	state    int
 	stepErr  error
 
-	// Pipelined admission state: the in-flight plan claim, its cache
-	// fingerprint, and the deterministic round the plan lands (-1 when
-	// none is pending).
+	// Admission state while planning: the in-flight plan claim, its
+	// cache fingerprint, and the deterministic round the plan lands (-1
+	// when none is pending).
 	ticket  *orchestrator.PlanTicket
 	planFp  string
 	landing int
@@ -286,10 +289,10 @@ type runner struct {
 	queueDirty bool
 	runBuf     []*tenant // running() scratch, reused across rounds
 
-	// Pipelined admission: in-flight plan waves keyed by fingerprint,
-	// plus the same waves in enqueue order (landing processing must be
-	// deterministic). overlapRounds counts rounds where background
-	// planning overlapped training.
+	// In-flight plan waves keyed by fingerprint, plus the same waves in
+	// enqueue order (landing processing must be deterministic); both
+	// stay empty at zero planning latency. overlapRounds counts rounds
+	// where background planning overlapped training.
 	pending       map[string]*pendingPlan
 	pendList      []*pendingPlan
 	overlapRounds int
@@ -303,10 +306,6 @@ type pendingPlan struct {
 	ticket  *orchestrator.PlanTicket
 	landing int
 }
-
-// pipelined reports whether admission reserves leases and defers plans
-// (Planners != 0) rather than searching inline.
-func (f *runner) pipelined() bool { return f.cfg.Planners != 0 }
 
 // dirtyView invalidates a tenant's cached scheduler snapshot; every
 // mutation of a JobView key (state, lease, waited, started) calls it.
@@ -410,7 +409,7 @@ func Run(cfg Config) (*Result, error) {
 		cache = orchestrator.NewPlanCache(cfg.Search)
 	}
 	if cfg.Planners < SequentialPlanners {
-		return nil, fmt.Errorf("fleet: Planners %d invalid (0 inline, N > 0 pooled, -1 sequential reference)", cfg.Planners)
+		return nil, fmt.Errorf("fleet: Planners %d invalid (0 zero-latency, N > 0 pooled, -1 sequential reference)", cfg.Planners)
 	}
 	if cfg.Planners > 0 {
 		if err := cache.StartPlanners(cfg.Planners); err != nil {
@@ -455,7 +454,7 @@ func Run(cfg Config) (*Result, error) {
 		f.admitted, f.retired = 0, 0
 		// Plans whose deterministic landing round arrived commit first:
 		// the tenants they admit join this round's scheduling exactly
-		// like the legacy inline path would have admitted them.
+		// like a zero-latency admission this round would have.
 		f.landPlans()
 		// Queue aging: tenants still queued from earlier rounds have
 		// waited one more full round (this round's arrivals start at 0).
@@ -473,7 +472,7 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.OnRound != nil {
 			cfg.OnRound(f.roundInfo())
 		}
-		if f.pipelined() && f.planningCount() > 0 && f.runningCount() > 0 {
+		if f.planningCount() > 0 && f.runningCount() > 0 {
 			f.overlapRounds++
 		}
 		f.stepRunning()
@@ -805,19 +804,17 @@ func (f *runner) leaseSpec(t *tenant, l cluster.Lease) orchestrator.Spec {
 // size. All instances of a template share the template's spec (same
 // profiler pointer, same model and batch geometry), so equal lease
 // sizes fingerprint identically — K identical tenants pay for one
-// §4.3 search and K-1 cache hits. In pipelined modes a shape already
-// in flight on the planner pool is consumed (and published) here —
-// this call site is a deterministic decision point, so an early
-// publish keeps pool sizes byte-identical.
+// §4.3 search and K-1 cache hits. A shape already in flight on the
+// planner pool is consumed (and published) here — this call site is a
+// deterministic decision point, so an early publish keeps pool sizes
+// byte-identical.
 func (f *runner) planFor(t *tenant, l cluster.Lease) (*orchestrator.Plan, error) {
 	spec := f.leaseSpec(t, l)
-	if f.pipelined() {
-		fp := f.cache.Fingerprint(spec)
-		if pe, ok := f.pending[fp]; ok {
-			_, _ = pe.ticket.Wait(f.ctx) // outcome served via the cache below
-			pe.ticket.Publish()
-			f.removePending(fp)
-		}
+	fp := f.cache.Fingerprint(spec)
+	if pe, ok := f.pending[fp]; ok {
+		_, _ = pe.ticket.Wait(f.ctx) // outcome served via the cache below
+		pe.ticket.Publish()
+		f.removePending(fp)
 	}
 	return f.cache.Plan(f.ctx, spec)
 }
@@ -889,13 +886,7 @@ func (f *runner) admit() {
 			f.note("job-rejected", map[string]any{"job": t.id, "reason": err.Error()})
 			continue
 		}
-		admitErr := error(nil)
-		if f.pipelined() {
-			admitErr = f.reserve(t, lease)
-		} else {
-			admitErr = f.place(t, lease)
-		}
-		if admitErr != nil {
+		if admitErr := f.reserve(t, lease); admitErr != nil {
 			// Unplannable at its granted size (model too big for
 			// MinNodes, degenerate batch geometry): the job can never
 			// run — fail it and keep the queue moving.
@@ -927,19 +918,6 @@ func (f *runner) checkPlacement(l cluster.Lease, grant int) error {
 		}
 	}
 	return nil
-}
-
-// place grants the lease inline (legacy admission): plan, acquire,
-// commit — the admission round pays the whole search.
-func (f *runner) place(t *tenant, lease cluster.Lease) error {
-	plan, err := f.planFor(t, lease)
-	if err != nil {
-		return err
-	}
-	if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
-		return err
-	}
-	return f.finishPlacement(t, lease, plan)
 }
 
 // finishPlacement commits an already-acquired lease with its landed
@@ -1002,58 +980,74 @@ func (f *runner) finishPlacement(t *tenant, lease cluster.Lease, plan *orchestra
 	return nil
 }
 
-// reserve is pipelined admission: the scheduler's grant is locked in
+// reserve is admission: the scheduler's grant is locked in
 // immediately (the lease leaves the free pool), but the plan is only
 // requested, not awaited. A shape already in flight coalesces onto
 // its wave and shares its landing round; an already-visible plan
-// places inline this round — warm admissions stay as fast as the
-// legacy path; a true miss enqueues on the planner pool and lands at
-// a round from the costed latency model, never from wall clock.
+// places this round; a true miss claims a search and lands at a round
+// from the planning-latency model, never from wall clock — at once
+// when that latency is zero.
 func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 	spec := f.leaseSpec(t, lease)
 	fp := f.cache.Fingerprint(spec)
-	if pe, ok := f.pending[fp]; ok {
-		ticket := f.cache.PlanAsync(f.ctx, spec)
-		if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
-			return err
+	pe, inFlight := f.pending[fp]
+	if !inFlight {
+		if plan, ok, err := f.cache.PlanIfSettled(spec); ok {
+			if err != nil {
+				return err
+			}
+			if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
+				return err
+			}
+			if err := f.finishPlacement(t, lease, plan); err != nil {
+				return err
+			}
+			f.speculate(t)
+			return nil
 		}
-		t.lease = lease
-		t.ticket = ticket
-		t.planFp = fp
-		t.landing = pe.landing
-		t.state = statePlanning
-		f.dirtyView(t)
-		f.note("job-plan", map[string]any{"job": t.id, "nodes": lease.NodeCount(), "landing": pe.landing})
-		return nil
-	}
-	if plan, ok, err := f.cache.PlanIfSettled(spec); ok {
-		if err != nil {
-			return err
-		}
-		if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
-			return err
-		}
-		if err := f.finishPlacement(t, lease, plan); err != nil {
-			return err
-		}
-		f.speculate(t)
-		return nil
 	}
 	ticket := f.cache.PlanAsync(f.ctx, spec)
-	landing := f.round + planLatency(spec, ticket.Seeded())
-	pe := &pendingPlan{fp: fp, ticket: ticket, landing: landing}
-	f.pending[fp] = pe
-	f.pendList = append(f.pendList, pe)
+	if !inFlight {
+		landing := f.round + f.latency(spec, ticket.Seeded())
+		if landing == f.round {
+			return f.land(t, lease, ticket)
+		}
+		pe = &pendingPlan{fp: fp, ticket: ticket, landing: landing}
+		f.pending[fp] = pe
+		f.pendList = append(f.pendList, pe)
+	}
 	if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
 		return err
 	}
 	t.lease = lease
 	t.ticket = ticket
 	t.planFp = fp
-	t.landing = landing
+	t.landing = pe.landing
 	t.state = statePlanning
 	f.dirtyView(t)
-	f.note("job-plan", map[string]any{"job": t.id, "nodes": lease.NodeCount(), "landing": landing})
+	f.note("job-plan", map[string]any{"job": t.id, "nodes": lease.NodeCount(), "landing": pe.landing})
+	return nil
+}
+
+// land commits a ticket whose landing round arrived: wait for the plan,
+// publish it, acquire the lease (a tenant parked in statePlanning
+// already holds it), place the tenant and plan its neighbouring sizes
+// ahead.
+func (f *runner) land(t *tenant, lease cluster.Lease, ticket *orchestrator.PlanTicket) error {
+	plan, err := ticket.Wait(f.ctx)
+	if err != nil {
+		return err
+	}
+	ticket.Publish()
+	if t.state != statePlanning {
+		if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
+			return err
+		}
+	}
+	if err := f.finishPlacement(t, lease, plan); err != nil {
+		return err
+	}
+	f.speculate(t)
 	return nil
 }
 
@@ -1075,15 +1069,26 @@ func planLatency(spec orchestrator.Spec, seeded bool) int {
 	return rounds
 }
 
+// latency is the runner's planning-latency model and the one place the
+// fleet reads the Planners mode (beyond starting and stopping the pool):
+// Planners=0 prices every search at zero rounds, so its plan lands in
+// the round that reserved it; every other mode lands by planLatency.
+func (f *runner) latency(spec orchestrator.Spec, seeded bool) int {
+	if f.zeroLatency() {
+		return 0
+	}
+	return planLatency(spec, seeded)
+}
+
+// zeroLatency reports the latency model's Planners=0 mode.
+func (f *runner) zeroLatency() bool { return f.cfg.Planners == 0 }
+
 // landPlans opens a pipelined round: waves whose landing round
 // arrived publish (entering the cache's warm-seed and settled-read
 // surfaces), then planning tenants whose landing round arrived commit
 // their reserved leases. Both walks are in deterministic order, so
 // every pool size lands identically.
 func (f *runner) landPlans() {
-	if !f.pipelined() {
-		return
-	}
 	keep := f.pendList[:0]
 	for _, pe := range f.pendList {
 		if pe.landing > f.round {
@@ -1099,17 +1104,11 @@ func (f *runner) landPlans() {
 		if t.state != statePlanning || t.landing > f.round {
 			continue
 		}
-		plan, err := t.ticket.Wait(f.ctx)
-		if err == nil {
-			err = f.finishPlacement(t, t.lease, plan)
-		}
-		if err != nil {
+		if err := f.land(t, t.lease, t.ticket); err != nil {
 			t.err = err
 			f.retire(t, false)
 			f.note("job-rejected", map[string]any{"job": t.id, "reason": err.Error()})
-			continue
 		}
-		f.speculate(t)
 	}
 }
 
@@ -1117,10 +1116,11 @@ func (f *runner) landPlans() {
 // shapes Rebalance-driven grows/shrinks and failure resizes reach for
 // — so those searches overlap training instead of stalling the round
 // that needs them. Count-based policies only: a shaped placement is
-// unknowable before the grant. Only the lease size matters, so a
+// unknowable before the grant. At zero latency nothing can overlap, so
+// nothing is planned ahead. Only the lease size matters, so a
 // synthetic lease of the right count stands in for the real one.
 func (f *runner) speculate(t *tenant) {
-	if !f.pipelined() || f.shaped {
+	if f.shaped || f.zeroLatency() {
 		return
 	}
 	n := t.lease.NodeCount()
@@ -1141,7 +1141,7 @@ func (f *runner) speculate(t *tenant) {
 			continue
 		}
 		ticket := f.cache.PlanAsync(f.ctx, spec)
-		pe := &pendingPlan{fp: fp, ticket: ticket, landing: f.round + planLatency(spec, ticket.Seeded())}
+		pe := &pendingPlan{fp: fp, ticket: ticket, landing: f.round + f.latency(spec, ticket.Seeded())}
 		f.pending[fp] = pe
 		f.pendList = append(f.pendList, pe)
 		f.note("plan-ahead", map[string]any{"job": t.id, "nodes": target, "landing": pe.landing})

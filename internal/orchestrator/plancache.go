@@ -28,21 +28,25 @@ import (
 // A cache built with NewPersistentPlanCache additionally sits on a
 // durable store: successful plans are written through, and a later
 // process (or a later cache instance) serves them as warm hits with
-// zero searches. On a true miss the cache warm-starts the search from
-// the incumbent plan of a neighbouring lease size (Nodes±1, same spec
-// family): the incumbent's strategy is evaluated first and its known
-// iteration time prunes the rest of the enumeration, without ever
-// changing the chosen plan.
+// zero searches. Every search is the sample-bounded one (SampleBound);
+// on a true miss the cache warm-starts it from the incumbent plan of a
+// neighbouring lease size (Nodes±1, same spec family): the incumbent's
+// strategy joins the phase-1 sample and can only tighten the bound that
+// prunes the rest of the enumeration, without ever changing the chosen
+// plan.
 //
-// Beyond the synchronous Plan, the cache exposes an asynchronous tier
-// for pipelined admission: PlanAsync enqueues a miss onto a bounded
-// planner pool (StartPlanners) and returns a PlanTicket immediately.
-// Misses enqueued while a wave is in flight batch into the next wave
-// and share one sample-bounded PlanMany call; same-fingerprint
-// requests coalesce onto one ticket. Async results stay invisible to
-// warm-seed lookups and PlanIfSettled until the caller Publishes the
-// ticket — the fleet publishes at deterministic landing rounds, so
-// cache visibility never depends on wall clock.
+// Every fingerprint has one entry lifecycle: claimed (by the first
+// caller, with its warm seed captured from the incumbents published so
+// far), settled once its search ends, and published by its claimant.
+// Plan claims, searches in the caller's goroutine and publishes at
+// once. PlanAsync is the asynchronous tier for pipelined admission: it
+// enqueues a miss onto a bounded planner pool (StartPlanners) and
+// returns a PlanTicket immediately. Misses enqueued while a wave is in
+// flight batch into the next wave and share one PlanMany call;
+// same-fingerprint requests coalesce onto one ticket. Its results stay
+// invisible to warm-seed lookups and PlanIfSettled until the caller
+// Publishes the ticket — the fleet publishes at deterministic landing
+// rounds, so cache visibility never depends on wall clock.
 type PlanCache struct {
 	opts  SearchOptions
 	store store.Store // nil for a purely in-memory cache
@@ -73,9 +77,9 @@ type PlanCache struct {
 }
 
 // Entry lifecycle: created running (claimed by its producer), settled
-// exactly once when the outcome lands. Synchronous entries publish at
-// settle; async entries stay unpublished — invisible to incumbent and
-// PlanIfSettled — until their ticket's Publish.
+// exactly once when the outcome lands, and published by the claimant —
+// until then it is invisible to incumbent and PlanIfSettled. Durable
+// store hits are created settled and published.
 const (
 	entryRunning = iota
 	entrySettled
@@ -90,13 +94,7 @@ type planEntry struct {
 	plan      *Plan
 	err       error
 	published bool
-	async     bool
-	seed      *Candidate // captured at enqueue for async entries
-	seeded    bool
-}
-
-func newEntry(async bool) *planEntry {
-	return &planEntry{state: entryRunning, done: make(chan struct{}), async: async}
+	seed      *Candidate // captured at claim; nil when unseeded
 }
 
 func settledEntry(plan *Plan, err error) *planEntry {
@@ -105,7 +103,7 @@ func settledEntry(plan *Plan, err error) *planEntry {
 	return e
 }
 
-// planReq is one queued async miss awaiting the next planner wave.
+// planReq is one claimed miss awaiting execution in a wave.
 type planReq struct {
 	e    *planEntry
 	key  string
@@ -181,9 +179,12 @@ const planEnvelopeV = 1
 // once per fingerprint: concurrent callers with the same fingerprint
 // share a single evaluation (singleflight), and later callers reuse
 // the stored outcome. A persistent cache first consults the durable
-// store (a warm hit runs no search at all); a true miss runs the
-// search, warm-seeded from a neighbouring lease size when an incumbent
-// exists, and writes the result through. Infeasibility errors are
+// store (a warm hit runs no search at all); a true miss claims the
+// entry, runs the search in the caller's goroutine under ctx,
+// warm-seeded from a neighbouring lease size when an incumbent exists,
+// writes the result through and publishes it. A caller that joins an
+// existing entry — even an unpublished async one — waits for it but
+// never publishes it: only a claimant publishes. Infeasibility errors are
 // cached too — a spec that cannot be planned today cannot be planned
 // by retrying — but a search cut short by the caller's context
 // (cancellation, deadline) is evicted, so a later caller with a
@@ -196,22 +197,16 @@ func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
 		if c.loopHook != nil {
 			c.loopHook()
 		}
-		c.mu.Lock()
-		e, ok := c.entries[key]
-		if !ok {
-			e = newEntry(false)
-			c.entries[key] = e
+		e, how := c.claim(key, s)
+		switch {
+		case how == claimNew:
+			c.executeWave(ctx, []planReq{{e: e, key: key, spec: s}}, c.opts.Parallelism)
+			c.publish(e)
+		case how != claimStored && !counted:
+			c.hits.Add(1)
+			counted = true
 		}
-		c.mu.Unlock()
-		if ok {
-			if !counted {
-				c.hits.Add(1)
-				counted = true
-			}
-			<-e.done
-		} else {
-			c.runSearch(ctx, e, key, s)
-		}
+		<-e.done
 		if e.err == nil {
 			cp := *e.plan // Plan holds no reference types: a value copy is private
 			return &cp, nil
@@ -223,11 +218,7 @@ func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
 		// caller's. Evict the poisoned entry; a caller whose own
 		// context is still healthy retries (and leads the next
 		// singleflight under it), everyone else propagates the error.
-		c.mu.Lock()
-		if c.entries[key] == e {
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
+		c.evict(key, e)
 		if ctx.Err() != nil {
 			return nil, e.err
 		}
@@ -240,10 +231,8 @@ func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
 // only at deterministic landing rounds, so two runs with different
 // planner-pool sizes see identical cache states at every round.
 type PlanTicket struct {
-	c      *PlanCache
-	e      *planEntry
-	key    string
-	seeded bool
+	c *PlanCache
+	e *planEntry
 }
 
 // Wait blocks until the plan settles (or ctx is done) and returns a
@@ -263,77 +252,91 @@ func (t *PlanTicket) Wait(ctx context.Context) (*Plan, error) {
 
 // Publish marks a settled outcome visible to incumbent warm-seed
 // lookups and PlanIfSettled. Idempotent; a no-op before settle.
-func (t *PlanTicket) Publish() {
-	t.c.mu.Lock()
-	if t.e.state == entrySettled {
-		t.e.published = true
-	}
-	t.c.mu.Unlock()
-}
+func (t *PlanTicket) Publish() { t.c.publish(t.e) }
 
 // Seeded reports whether the underlying search was warm-seeded from a
-// neighbouring lease size — captured at enqueue, so it is identical
+// neighbouring lease size — captured at claim, so it is identical
 // across planner-pool sizes and usable in costed latency models.
-func (t *PlanTicket) Seeded() bool { return t.seeded }
+func (t *PlanTicket) Seeded() bool { return t.e.seed != nil }
 
 // PlanAsync requests the plan for s without blocking. A published
 // settled fingerprint is a hit; an in-flight or unpublished one
-// coalesces onto the existing ticket; a true miss claims the entry,
-// captures its warm seed from the incumbents published so far, and
+// coalesces onto the existing ticket; a true miss claims the entry
+// (capturing its warm seed from the incumbents published so far) and
 // enqueues it for the next planner wave. Without a started planner
-// pool the search runs synchronously before returning (the
-// sequential-admission reference mode) — logically identical, only
-// the physical execution time differs.
+// pool the search runs in the caller's goroutine, under ctx, before
+// returning (the sequential-admission reference mode) — logically
+// identical, only the physical execution time differs.
 func (c *PlanCache) PlanAsync(ctx context.Context, s Spec) *PlanTicket {
 	key := fingerprintSpec(s)
-	if t := c.joinTicket(key); t != nil {
-		return t
-	}
-	// Seed capture happens here, at enqueue — not at execution — so the
-	// seed (and everything downstream: prune counts, Seeded latency
-	// costing) depends only on what was published before this call.
-	seed := c.neighborSeed(s)
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		t := c.ticketLocked(e, key)
-		c.mu.Unlock()
-		return t
-	}
-	e = newEntry(true)
-	e.seed = seed
-	e.seeded = seed != nil
-	c.entries[key] = e
-	c.mu.Unlock()
-	if seed != nil {
-		c.warmSeeds.Add(1)
-	}
-	t := &PlanTicket{c: c, e: e, key: key, seeded: e.seeded}
-	if !c.enqueue(planReq{e: e, key: key, spec: s}) {
-		c.runSearch(ctx, e, key, s)
-	}
-	return t
-}
-
-// joinTicket returns a ticket onto an existing entry, or nil when the
-// fingerprint is unclaimed.
-func (c *PlanCache) joinTicket(key string) *PlanTicket {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return nil
-	}
-	return c.ticketLocked(e, key)
-}
-
-func (c *PlanCache) ticketLocked(e *planEntry, key string) *PlanTicket {
-	if e.state == entrySettled && e.published {
+	e, how := c.claim(key, s)
+	switch how {
+	case claimNew:
+		if r := (planReq{e: e, key: key, spec: s}); !c.enqueue(r) {
+			c.executeWave(ctx, []planReq{r}, c.opts.Parallelism)
+		}
+	case joinPublished:
 		c.hits.Add(1)
-	} else {
+	case joinPending:
 		c.coalesced.Add(1)
 	}
-	return &PlanTicket{c: c, e: e, key: key, seeded: e.seeded}
+	return &PlanTicket{c: c, e: e}
+}
+
+// How a caller came by a fingerprint's entry.
+const (
+	claimNew      = iota // fresh and running: the caller must execute it
+	claimStored          // fresh, settled and published from the durable store
+	joinPublished        // present and published
+	joinPending          // present, running or not yet published
+)
+
+// claim resolves key to its entry. A present entry is returned as is,
+// without a new search. Otherwise a durable-store hit is installed
+// settled and published, counted as a warm hit; a true miss is
+// installed running, with its warm seed captured from the incumbents
+// published so far — at claim, not at execution, so the seed (and
+// everything downstream: prune counts, Seeded latency costing) depends
+// only on what was published before this call.
+func (c *PlanCache) claim(key string, s Spec) (*planEntry, int) {
+	if e, how := c.lookup(key, nil); e != nil {
+		return e, how
+	}
+	var fresh *planEntry
+	how := claimNew
+	if plan, ok := c.loadStored(key); ok {
+		fresh, how = settledEntry(plan, nil), claimStored
+	} else {
+		fresh = &planEntry{state: entryRunning, done: make(chan struct{}), seed: c.neighborSeed(s)}
+	}
+	if e, joined := c.lookup(key, fresh); e != nil {
+		return e, joined
+	}
+	switch {
+	case how == claimStored:
+		c.warmHits.Add(1)
+	case fresh.seed != nil:
+		c.warmSeeds.Add(1)
+	}
+	return fresh, how
+}
+
+// lookup returns key's present entry and whether it is published
+// (joinPublished or joinPending). When key is absent it returns nil,
+// installing fresh unless fresh is nil.
+func (c *PlanCache) lookup(key string, fresh *planEntry) (*planEntry, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
+		if e.state == entrySettled && e.published {
+			return e, joinPublished
+		}
+		return e, joinPending
+	}
+	if fresh != nil {
+		c.entries[key] = fresh
+	}
+	return nil, claimNew
 }
 
 // PlanIfSettled returns the cached outcome for s only if it is already
@@ -343,39 +346,39 @@ func (c *PlanCache) ticketLocked(e *planEntry, key string) *PlanTicket {
 // evicted and read as misses, mirroring Plan's retry semantics.
 func (c *PlanCache) PlanIfSettled(s Spec) (plan *Plan, ok bool, err error) {
 	key := fingerprintSpec(s)
-	c.mu.Lock()
-	if e, found := c.entries[key]; found {
-		if e.state != entrySettled || !e.published {
-			c.mu.Unlock()
+	e, how := c.lookup(key, nil)
+	switch {
+	case e == nil:
+		stored, found := c.loadStored(key)
+		if !found {
 			return nil, false, nil
 		}
-		if e.err != nil {
-			if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
-				delete(c.entries, key)
-				c.mu.Unlock()
-				return nil, false, nil
-			}
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return nil, true, e.err
-		}
-		cp := *e.plan
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return &cp, true, nil
-	}
-	c.mu.Unlock()
-	if stored, found := c.loadStored(key); found {
-		c.mu.Lock()
-		if _, raced := c.entries[key]; !raced {
-			c.entries[key] = settledEntry(stored, nil)
-		}
-		c.mu.Unlock()
+		c.lookup(key, settledEntry(stored, nil))
 		c.warmHits.Add(1)
 		cp := *stored
 		return &cp, true, nil
+	case how != joinPublished:
+		return nil, false, nil
+	case errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded):
+		c.evict(key, e)
+		return nil, false, nil
+	case e.err != nil:
+		c.hits.Add(1)
+		return nil, true, e.err
 	}
-	return nil, false, nil
+	c.hits.Add(1)
+	cp := *e.plan
+	return &cp, true, nil
+}
+
+// evict drops a context-cancelled entry, unless a retry already
+// replaced it.
+func (c *PlanCache) evict(key string, e *planEntry) {
+	c.mu.Lock()
+	if c.entries[key] == e {
+		delete(c.entries, key)
+	}
+	c.mu.Unlock()
 }
 
 // Settled reports whether a plan (or cached error) for s is already
@@ -384,21 +387,16 @@ func (c *PlanCache) PlanIfSettled(s Spec) (plan *Plan, ok bool, err error) {
 // use it to skip shapes that are already covered.
 func (c *PlanCache) Settled(s Spec) bool {
 	key := fingerprintSpec(s)
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		settled := e.state == entrySettled && e.published
-		c.mu.Unlock()
-		return settled
+	if e, how := c.lookup(key, nil); e != nil {
+		return how == joinPublished
 	}
-	c.mu.Unlock()
 	_, found := c.loadStored(key)
 	return found
 }
 
 // StartPlanners launches the async planner pool: a dispatcher that
 // drains queued misses in waves, running each wave as one batched
-// sample-bounded PlanMany over n candidate workers. Requests arriving
+// PlanMany over n candidate workers. Requests arriving
 // while a wave runs batch into the next wave. Errors if already
 // started.
 func (c *PlanCache) StartPlanners(n int) error {
@@ -434,7 +432,7 @@ func (c *PlanCache) StopPlanners() {
 }
 
 // enqueue hands a request to the planner pool; false when no pool is
-// running (the caller searches synchronously instead).
+// running (the caller executes it instead).
 func (c *PlanCache) enqueue(r planReq) bool {
 	c.poolMu.Lock()
 	defer c.poolMu.Unlock()
@@ -467,95 +465,52 @@ func (c *PlanCache) dispatch() {
 		c.queue = nil
 		n := c.poolN
 		c.poolMu.Unlock()
-		c.executeWave(wave, n)
+		c.executeWave(context.Background(), wave, n)
 		c.poolMu.Lock()
 	}
 }
 
-// executeWave resolves one batch of async misses: store hits settle
-// immediately, the rest share a single sample-bounded PlanMany whose
-// per-spec bounds come from each spec's own deterministic sample (and
-// seed), so prune counts and plans are identical whether a spec runs
-// alone or batched. Results persist before they settle, and settle
-// before anyone can publish them.
-func (c *PlanCache) executeWave(wave []planReq, workers int) {
-	var live []planReq
-	var specs []Spec
-	var seeds []*Candidate
-	for _, r := range wave {
-		if plan, ok := c.loadStored(r.key); ok {
-			c.warmHits.Add(1)
-			r.e.plan = plan
-			c.settle(r.e)
-			continue
-		}
-		c.searches.Add(1)
-		live = append(live, r)
-		specs = append(specs, r.spec)
-		seeds = append(seeds, r.e.seed)
+// executeWave is the cache's one search executor: it resolves a batch
+// of claimed misses with a single sample-bounded PlanMany under ctx on
+// the given number of workers. Per-spec bounds come from each spec's
+// own deterministic sample (and seed), so prune counts and plans are
+// identical whether a spec runs alone or batched. Results persist
+// before they settle, and settle before anyone can publish them. The
+// pool runs waves under context.Background(); Plan and the poolless
+// PlanAsync run a wave of one under the caller's ctx.
+func (c *PlanCache) executeWave(ctx context.Context, wave []planReq, workers int) {
+	specs := make([]Spec, len(wave))
+	seeds := make([]*Candidate, len(wave))
+	for i, r := range wave {
+		specs[i], seeds[i] = r.spec, r.e.seed
 	}
-	if len(live) == 0 {
-		return
-	}
+	c.searches.Add(int64(len(wave)))
 	opts := c.opts
 	opts.Parallelism = workers
-	opts.Seed = nil
 	opts.Seeds = seeds
 	opts.SampleBound = true
-	opts.Prune = false
-	rs := PlanMany(context.Background(), specs, opts)
-	for i, r := range live {
+	rs := PlanMany(ctx, specs, opts)
+	for i, r := range wave {
 		r.e.plan, r.e.err = rs[i].Plan, rs[i].Err
 		c.pruned.Add(int64(rs[i].Pruned))
 		if r.e.err == nil {
 			c.persist(r.key, r.e.plan)
 		}
-		c.settle(r.e)
+		c.mu.Lock()
+		r.e.state = entrySettled
+		c.mu.Unlock()
+		close(r.e.done)
 	}
 }
 
-// runSearch resolves one entry synchronously: the sync Plan path and
-// the poolless async reference mode. Async entries use the same
-// sample-bounded search (and enqueue-captured seed) the pool would,
-// so both modes count and prune identically.
-func (c *PlanCache) runSearch(ctx context.Context, e *planEntry, key string, s Spec) {
-	if plan, ok := c.loadStored(key); ok {
-		c.warmHits.Add(1)
-		e.plan = plan
-		c.settle(e)
-		return
-	}
-	c.searches.Add(1)
-	opts := c.opts
-	if e.async {
-		opts.Seed = e.seed
-		opts.SampleBound = true
-		opts.Prune = false
-	} else if seed := c.neighborSeed(s); seed != nil {
-		opts.Seed = seed
-		opts.Prune = true
-		c.warmSeeds.Add(1)
-	}
-	r := PlanMany(ctx, []Spec{s}, opts)[0]
-	e.plan, e.err = r.Plan, r.Err
-	c.pruned.Add(int64(r.Pruned))
-	if e.err == nil {
-		c.persist(key, e.plan)
-	}
-	c.settle(e)
-}
-
-// settle transitions an entry to settled and wakes its waiters. Sync
-// entries publish immediately; async entries wait for their ticket's
-// Publish.
-func (c *PlanCache) settle(e *planEntry) {
+// publish makes a settled entry visible to incumbent warm-seed lookups
+// and PlanIfSettled; a no-op before settle.
+func (c *PlanCache) publish(e *planEntry) {
 	c.mu.Lock()
-	e.state = entrySettled
-	if !e.async {
+	if e.state == entrySettled {
 		e.published = true
 	}
 	c.mu.Unlock()
-	close(e.done)
 }
 
 // loadStored reads and decodes a durable entry. Any failure — store
@@ -634,21 +589,14 @@ func (c *PlanCache) neighborSeed(s Spec) *Candidate {
 // result also lives in the durable store, and falling through to the
 // store would leak it ahead of its landing round.
 func (c *PlanCache) incumbent(key string) *Plan {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		var p *Plan
-		if e.state == entrySettled && e.published && e.err == nil {
-			p = e.plan
+	if e, how := c.lookup(key, nil); e != nil {
+		if how == joinPublished && e.err == nil {
+			return e.plan
 		}
-		c.mu.Unlock()
-		return p
+		return nil
 	}
-	c.mu.Unlock()
-	if plan, ok := c.loadStored(key); ok {
-		return plan
-	}
-	return nil
+	plan, _ := c.loadStored(key)
+	return plan
 }
 
 // Searches returns how many real plan searches the cache ran; Hits how

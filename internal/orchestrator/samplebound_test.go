@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -74,8 +75,12 @@ func TestPlanSearchSampleBoundEquivalence(t *testing.T) {
 }
 
 // TestPlanManySeedsPositional: Seeds[i] seeds exactly specs[i] — a
-// batched wave where only one spec has an incumbent must not leak that
-// seed's bound into its neighbours.
+// batched wave where only one spec has a seed must not leak it into
+// its neighbours. The seed is a strategy both specs' unseeded searches
+// prune: seeding moves it into the phase-1 sample, where it is
+// evaluated instead of pruned, so the seeded position prunes exactly
+// one candidate fewer and every other position prunes exactly what it
+// prunes alone.
 func TestPlanManySeedsPositional(t *testing.T) {
 	s1 := newSpec(t, model.MLLM9B(), 4, 32, model.FullTraining)
 	s2 := s1
@@ -88,9 +93,32 @@ func TestPlanManySeedsPositional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := seedFromPlan(want1)
-	rs := PlanMany(context.Background(), []Spec{s1, s2}, SearchOptions{
-		Parallelism: 4, Seeds: []*Candidate{&seed, nil}, Prune: true,
+	ctx := context.Background()
+	alone := make([]int, 2)
+	prunedBy := map[Candidate]int{}
+	for i, s := range []Spec{s1, s2} {
+		// One worker: OnCandidate calls never overlap.
+		alone[i] = PlanMany(ctx, []Spec{s}, SearchOptions{
+			Parallelism: 1, SampleBound: true,
+			OnCandidate: func(c Candidate, _ *Plan, err error) {
+				if errors.Is(err, ErrCandidatePruned) {
+					prunedBy[c]++
+				}
+			},
+		})[0].Pruned
+	}
+	var seed *Candidate
+	for _, c := range enumerateCandidates(s1, s1.maxGPUs()) {
+		if prunedBy[c] == 2 {
+			seed = &c
+			break
+		}
+	}
+	if seed == nil {
+		t.Fatal("no strategy is pruned by both specs' unseeded searches")
+	}
+	rs := PlanMany(ctx, []Spec{s1, s2}, SearchOptions{
+		Parallelism: 4, Seeds: []*Candidate{seed, nil}, SampleBound: true,
 	})
 	if rs[0].Err != nil || rs[1].Err != nil {
 		t.Fatal(rs[0].Err, rs[1].Err)
@@ -98,10 +126,10 @@ func TestPlanManySeedsPositional(t *testing.T) {
 	if !reflect.DeepEqual(rs[0].Plan, want1) || !reflect.DeepEqual(rs[1].Plan, want2) {
 		t.Error("batched seeded wave diverged from per-spec references")
 	}
-	if rs[0].Pruned == 0 {
-		t.Error("seeded spec pruned nothing")
+	if rs[0].Pruned != alone[0]-1 {
+		t.Errorf("seeded spec pruned %d candidates, want %d (its seed is sampled, not pruned)", rs[0].Pruned, alone[0]-1)
 	}
-	if rs[1].Pruned != 0 {
-		t.Errorf("unseeded spec pruned %d candidates; Seeds leaked across positions", rs[1].Pruned)
+	if rs[1].Pruned != alone[1] {
+		t.Errorf("unseeded spec pruned %d candidates in the wave, %d alone; Seeds leaked across positions", rs[1].Pruned, alone[1])
 	}
 }

@@ -47,49 +47,27 @@ type SearchOptions struct {
 	// It is invoked from worker goroutines and must be safe for
 	// concurrent use.
 	OnCandidate func(c Candidate, plan *Plan, err error)
-	// Seed, when non-nil, names a candidate to evaluate synchronously
-	// before the parallel fan-out — typically the incumbent strategy of
-	// a cached plan for a neighbouring spec. Its iteration time becomes
-	// a fixed branch-and-bound bound for the whole search when Prune is
-	// set; because the bound never moves after the fan-out starts,
-	// prune decisions (and the Pruned count) are deterministic at any
-	// parallelism. A seed outside the spec's strategy set is ignored.
-	// Seeding never changes the chosen plan.
-	Seed *Candidate
-	// Seeds, when non-nil, gives PlanMany one seed per spec: Seeds[i]
-	// seeds specs[i] (nil entries stay unseeded), overriding Seed. The
-	// coalescing planner tier uses it to carry each fingerprint's own
-	// incumbent through one batched PlanMany call.
+	// Seeds, when non-nil, gives a SampleBound search one seed per
+	// spec: Seeds[i] — typically the incumbent strategy of a cached plan
+	// for a neighbouring spec — joins specs[i]'s phase-1 sample (nil
+	// entries stay unseeded). The plan cache uses it to carry each
+	// fingerprint's own incumbent through one batched PlanMany call. A
+	// seed outside the spec's strategy set is ignored, and seeding never
+	// changes the chosen plan.
 	Seeds []*Candidate
-	// Prune enables branch-and-bound pruning against the seed's
-	// iteration time: subproblems whose convex lower bound provably
-	// exceeds every selectable time are skipped before the expensive
-	// water-fill. Conservative by construction — the returned plan is
-	// byte-identical to the unpruned search.
-	Prune bool
 	// SampleBound switches each spec to the two-phase sample-bounded
 	// search: phase 1 evaluates a deterministic stratified sample of the
 	// strategy set (every sampleStride-th candidate, plus the seed)
 	// without a bound; the fastest feasible sampled time then becomes a
 	// fixed branch-and-bound bound for phase 2 over the remaining
-	// candidates, pruning regardless of Prune. The bound is frozen at
-	// the phase barrier, so prune counts stay deterministic at any
-	// parallelism, and it is an achievable iteration time, so — exactly
-	// like a seed bound — no pruned candidate can be the fastest plan or
+	// candidates: subproblems whose convex lower bound provably exceeds
+	// every selectable time are skipped before the expensive water-fill.
+	// The bound is frozen at the phase barrier, so prune counts stay
+	// deterministic at any parallelism, and it is an achievable
+	// iteration time, so no pruned candidate can be the fastest plan or
 	// enter selectPlan's tie-break band: the chosen plan is
 	// byte-identical to the unsampled search.
 	SampleBound bool
-}
-
-// seedFor resolves the seed for spec i: Seeds wins over Seed.
-func (o SearchOptions) seedFor(i int) *Candidate {
-	if o.Seeds != nil {
-		if i < len(o.Seeds) {
-			return o.Seeds[i]
-		}
-		return nil
-	}
-	return o.Seed
 }
 
 // sampleStride is the SampleBound phase-1 sampling interval. The
@@ -201,13 +179,13 @@ func PlanMany(ctx context.Context, specs []Spec, opts SearchOptions) []PlanResul
 		cands     []Candidate
 		results   []*Plan
 		floors    *floorCache
-		bound     float64      // fixed branch-and-bound bound (+Inf unless seeded)
+		bound     float64      // fixed phase-2 bound (+Inf without SampleBound)
 		done      atomic.Int64 // candidates evaluated so far
 		pruned    atomic.Int64 // candidates skipped by the bound
 	}
 	searches := make([]*search, len(specs))
 	type job struct{ spec, cand int }
-	var jobs []job    // bounded fan-out (the only fan-out without SampleBound)
+	var jobs []job    // phase-2 fan-out (every candidate without SampleBound)
 	var sampled []job // SampleBound phase-1 jobs, evaluated unbounded
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
@@ -218,42 +196,18 @@ func PlanMany(ctx context.Context, specs []Spec, opts SearchOptions) []PlanResul
 		se.cands = enumerateCandidates(s, se.n)
 		se.results = make([]*Plan, len(se.cands))
 		searches[i] = se
-		seed := opts.seedFor(i)
 		seeded := -1
-		if seed != nil {
-			seeded = candidateIndex(se.cands, *seed)
+		if i < len(opts.Seeds) && opts.Seeds[i] != nil {
+			seeded = candidateIndex(se.cands, *opts.Seeds[i])
 		}
-		if opts.SampleBound {
-			// Phase-1 sample: the seed plus every sampleStride-th
-			// candidate. Deterministic membership, so the phase-2 bound —
-			// and every prune decision — is independent of parallelism.
-			for c := range se.cands {
-				if c == seeded || c%sampleStride == 0 {
-					sampled = append(sampled, job{spec: i, cand: c})
-				} else {
-					jobs = append(jobs, job{spec: i, cand: c})
-				}
-			}
-			continue
-		}
-		// A seed candidate is evaluated synchronously before the fan-out
-		// so its iteration time is a FIXED bound for every worker — no
-		// running best-so-far, hence deterministic prune counts.
-		if seeded >= 0 && ctx.Err() == nil {
-			plan, err := solveSubproblem(s, se.cands[seeded], se.n, se.replicate, se.floors, math.Inf(1))
-			if err == nil {
-				se.results[seeded] = plan
-				se.bound = plan.IterTime
-			}
-			se.done.Add(1)
-			if opts.OnCandidate != nil {
-				opts.OnCandidate(se.cands[seeded], plan, err)
-			}
-		} else {
-			seeded = -1
-		}
+		// SampleBound's phase-1 sample: the seed plus every
+		// sampleStride-th candidate. Deterministic membership, so the
+		// phase-2 bound — and every prune decision — is independent of
+		// parallelism.
 		for c := range se.cands {
-			if c != seeded {
+			if opts.SampleBound && (c == seeded || c%sampleStride == 0) {
+				sampled = append(sampled, job{spec: i, cand: c})
+			} else {
 				jobs = append(jobs, job{spec: i, cand: c})
 			}
 		}
@@ -279,8 +233,7 @@ func PlanMany(ctx context.Context, specs []Spec, opts SearchOptions) []PlanResul
 		})
 		// Phase barrier: the fastest feasible sampled time is each
 		// spec's fixed phase-2 bound. It is achievable by construction,
-		// so pruning against it is exactly as conservative as pruning
-		// against a seed's iteration time.
+		// so pruning against it never changes the chosen plan.
 		for _, se := range searches {
 			if se == nil {
 				continue
@@ -294,12 +247,7 @@ func PlanMany(ctx context.Context, specs []Spec, opts SearchOptions) []PlanResul
 	}
 
 	runWorkers(ctx, opts.workers(), len(jobs), func(j int) {
-		se := searches[jobs[j].spec]
-		bound := math.Inf(1)
-		if opts.Prune || opts.SampleBound {
-			bound = se.bound
-		}
-		eval(jobs[j].spec, jobs[j].cand, bound)
+		eval(jobs[j].spec, jobs[j].cand, searches[jobs[j].spec].bound)
 	})
 
 	for i, se := range searches {
@@ -324,8 +272,7 @@ type PlanResult struct {
 	Plan *Plan
 	Err  error
 	// Pruned counts candidates the branch-and-bound bound skipped;
-	// always zero unless a seed (Seed or Seeds) and Prune were both
-	// set, or SampleBound was.
+	// always zero unless SampleBound was set.
 	Pruned int
 }
 

@@ -20,11 +20,11 @@ func seedFromPlan(p *Plan) Candidate {
 }
 
 // TestPlanSearchSeededEquivalence is the warm-start guarantee: seeding
-// the search with a real incumbent from a neighbouring cluster size
-// and pruning against its iteration time returns a plan byte-identical
-// to the sequential reference, actually prunes work, and prunes the
-// same candidate count at every parallelism level (the bound is fixed
-// before the fan-out).
+// the sample-bounded search with a real incumbent from a neighbouring
+// cluster size returns a plan byte-identical to the sequential
+// reference, actually prunes work, and prunes the same candidate count
+// at every parallelism level (the bound is frozen at the phase
+// barrier).
 func TestPlanSearchSeededEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -55,7 +55,7 @@ func TestPlanSearchSeededEquivalence(t *testing.T) {
 			pruned := -1
 			for _, par := range []int{1, 4} {
 				r := PlanMany(context.Background(), []Spec{s}, SearchOptions{
-					Parallelism: par, Seed: &seed, Prune: true,
+					Parallelism: par, Seeds: []*Candidate{&seed}, SampleBound: true,
 				})[0]
 				if r.Err != nil {
 					t.Fatalf("parallelism %d: %v", par, r.Err)
@@ -73,20 +73,23 @@ func TestPlanSearchSeededEquivalence(t *testing.T) {
 			}
 			t.Logf("seed %v pruned %d of %d candidates", seed, pruned, len(enumerateCandidates(s, s.maxGPUs())))
 
-			// A seed outside the strategy set is ignored: no pruning, same
-			// plan.
+			// A seed outside the strategy set is ignored: same plan, and
+			// exactly the unseeded sample-bounded search's prune count.
+			unseeded := PlanMany(context.Background(), []Spec{s}, SearchOptions{
+				Parallelism: 4, SampleBound: true,
+			})[0]
 			bogus := Candidate{TPLM: 3, DPLM: 1, WME: 3, WMG: 3}
 			r := PlanMany(context.Background(), []Spec{s}, SearchOptions{
-				Parallelism: 4, Seed: &bogus, Prune: true,
+				Parallelism: 4, Seeds: []*Candidate{&bogus}, SampleBound: true,
 			})[0]
-			if r.Err != nil {
-				t.Fatal(r.Err)
+			if r.Err != nil || unseeded.Err != nil {
+				t.Fatal(r.Err, unseeded.Err)
 			}
 			if !reflect.DeepEqual(r.Plan, want) {
 				t.Error("bogus seed changed the chosen plan")
 			}
-			if r.Pruned != 0 {
-				t.Errorf("bogus seed pruned %d candidates, want 0", r.Pruned)
+			if r.Pruned != unseeded.Pruned {
+				t.Errorf("bogus seed pruned %d candidates, want the unseeded %d", r.Pruned, unseeded.Pruned)
 			}
 		})
 	}
