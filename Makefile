@@ -67,16 +67,16 @@ BENCH_TIME ?= 100x
 # milliseconds of syscall-bound work — pure jitter. It gets its own
 # much larger iteration budget; still cheap (5000 warm lookups take
 # well under a second). The cold search stays on BENCH_TIME: it costs
-# ~18ms per op, so 100x already measures seconds. Even so the warm
+# ~5ms per op, so 100x already measures half a second. Even so the warm
 # rate is I/O-bound and noisier than the CPU-bound fleet sweeps — the
 # gate that actually catches a warm-path regression (falling back to a
 # cold search) is the deterministic allocs/op count, which would jump
-# two orders of magnitude.
+# ~50x.
 BENCH_WARM_TIME ?= 5000x
-# The cold-admission storm pays 16 full cold searches per op (~25-60ms
+# The cold-admission storm pays 16 full cold searches per op (~30ms
 # each way), so BENCH_TIME=100x would burn minutes measuring a number
 # whose band is self-widened to ±60% anyway; 20x keeps the recording
-# honest (a second-plus of measured work per sample) without
+# honest (over half a second of measured work per sample) without
 # dominating the bench-json run. Its tight gate is the one-sided
 # allocs/op tripwire, which two ops already pin exactly.
 BENCH_STORM_TIME ?= 20x

@@ -396,9 +396,8 @@ func (c *PlanCache) Settled(s Spec) bool {
 
 // StartPlanners launches the async planner pool: a dispatcher that
 // drains queued misses in waves, running each wave as one batched
-// PlanMany over n candidate workers. Requests arriving
-// while a wave runs batch into the next wave. Errors if already
-// started.
+// PlanMany over n candidate workers. Requests arriving while a wave
+// runs batch into the next wave. Errors if already started.
 func (c *PlanCache) StartPlanners(n int) error {
 	if n < 1 {
 		return errors.New("orchestrator: planner pool size must be >= 1")
