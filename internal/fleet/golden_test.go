@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -126,4 +129,41 @@ func TestGoldenFairShareLeaseTable(t *testing.T) {
 		Scenario: mustParse(t, "job-depart:iter=3,job=0"),
 	}
 	goldenCompare(t, "fairshare_lease_table", leaseTableLog(t, cfg))
+}
+
+// fleetTraceGoldenSHA256 is the sha256 of the merged fleet Chrome
+// trace TestFleetTraceGolden renders, recorded on the sharded-lane
+// recorder the single append-ordered buffer replaced.
+const fleetTraceGoldenSHA256 = "4364962bc273db7a0dc4098fea1585872a4e5aba38841c00ff19a4adb4cc5a8b"
+
+// TestFleetTraceGolden pins the merged fleet trace bytes of a traced
+// fair-share fleet with staggered arrivals, a node failure and rejoin,
+// a departure and the lease resizes they cause. Any change to how
+// events are recorded, merged or encoded shows up as a new digest.
+func TestFleetTraceGolden(t *testing.T) {
+	// arm64 fuses multiply-adds, so simulated timestamps may differ in
+	// their last bits there; the digest is recorded on amd64, where CI
+	// runs.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("trace digest is recorded on amd64, not %s", runtime.GOARCH)
+	}
+	spec, corpus := buildSpec(t, 8, 32)
+	res, err := Run(perturbedFleet(t, spec, corpus, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resizes := 0
+	for _, jr := range res.Jobs {
+		if jr.Err != nil {
+			t.Fatalf("job %s failed: %v", jr.Name, jr.Err)
+		}
+		resizes += jr.Resizes
+	}
+	if resizes == 0 {
+		t.Fatal("fixture no longer resizes any lease")
+	}
+	sum := sha256.Sum256(traceBytes(t, res.Trace))
+	if got := hex.EncodeToString(sum[:]); got != fleetTraceGoldenSHA256 {
+		t.Errorf("merged fleet trace sha256 = %s, want %s", got, fleetTraceGoldenSHA256)
+	}
 }
