@@ -12,6 +12,7 @@ package disttrain
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -812,4 +813,55 @@ func BenchmarkColdAdmissionStorm(b *testing.B) {
 			b.ReportMetric(60, "band%")
 		})
 	}
+}
+
+// BenchmarkTraceMergeWrite measures the fleet trace export path: 64
+// per-job traces of the fleet-trace-export shape (a 9b tenant, 40
+// iterations on a 2-node lease, batch 32) folded into one fleet trace
+// by AppendOffset and encoded by WriteJSON. Every tenant of that
+// workload runs the same plan on the same batches, so one recorded job
+// timeline, copied into 64 private traces, is each tenant's trace.
+func BenchmarkTraceMergeWrite(b *testing.B) {
+	corpus, err := data.NewCorpus(data.LAION400M())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const tenants, iters = 64, 40
+	spec := benchSpec(b, model.MLLM9B(), 2, 32)
+	cfg := FleetConfig{Cluster: spec.Cluster, Trace: true, Jobs: []FleetJobSpec{{
+		Name: "t0", Train: NewTrainConfig(spec, nil, corpus),
+		Iters: iters, MinNodes: 2, MaxNodes: 2,
+	}}}
+	res, err := RunFleet(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if jr := res.Jobs[0]; jr.Err != nil {
+		b.Fatal(jr.Err)
+	}
+	jobs := make([]*Trace, tenants)
+	for j := range jobs {
+		jobs[j] = NewTrace()
+		jobs[j].AppendOffset(res.Jobs[0].Trace, 0, "")
+	}
+	sched := NewTrace()
+	sched.NameProcess(0, "scheduler")
+	for j := range jobs {
+		sched.Instant("job-arrive", "fleet", 0, 0, map[string]any{"job": j, "name": fmt.Sprintf("t%d", j)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merged := NewTrace()
+		base := 0
+		for j, tr := range jobs {
+			merged.AppendOffset(tr, base, fmt.Sprintf("t%d/", j))
+			base += tr.MaxPID() + 1
+		}
+		merged.AppendOffset(sched, base, "fleet/")
+		if err := merged.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(tenants*jobs[0].Len()), "events/op")
 }
