@@ -105,33 +105,32 @@ func TestTraceShardedLanes(t *testing.T) {
 	}
 }
 
-// TestTraceReserve: pre-growing a lane records nothing, and the
+// TestTraceReserve: pre-growing the buffer records nothing, and the
 // reserved capacity absorbs that many appends without reallocating.
 func TestTraceReserve(t *testing.T) {
 	tr := NewTrace()
-	tr.Reserve(3, 64)
+	tr.Reserve(64)
 	if tr.Len() != 0 {
 		t.Fatalf("Reserve recorded %d events", tr.Len())
 	}
 	if tr.MaxPID() != 0 {
 		t.Fatalf("Reserve moved MaxPID to %d", tr.MaxPID())
 	}
-	l := tr.lane(3)
-	if cap(l.evs) < 64 {
-		t.Fatalf("reserved capacity %d, want >= 64", cap(l.evs))
+	if cap(tr.events) < 64 {
+		t.Fatalf("reserved capacity %d, want >= 64", cap(tr.events))
 	}
-	base := cap(l.evs)
+	base := cap(tr.events)
 	for i := 0; i < 64; i++ {
 		tr.Complete("op", "x", 3, 0, float64(i), 1)
 	}
-	if cap(l.evs) != base {
-		t.Errorf("lane regrew from %d to %d despite the reservation", base, cap(l.evs))
+	if cap(tr.events) != base {
+		t.Errorf("buffer regrew from %d to %d despite the reservation", base, cap(tr.events))
 	}
 	if tr.Len() != 64 || tr.MaxPID() != 3 {
 		t.Errorf("Len=%d MaxPID=%d after 64 appends to lane 3", tr.Len(), tr.MaxPID())
 	}
-	tr.Reserve(3, -1) // no-op, must not shrink or panic
-	if cap(l.evs) != base {
+	tr.Reserve(-1) // no-op, must not shrink or panic
+	if cap(tr.events) != base {
 		t.Errorf("Reserve(-1) changed capacity")
 	}
 }

@@ -83,8 +83,8 @@ func (r *Runtime) newJob(n int, step func(preparedBatch) (IterationStats, error)
 	return j, nil
 }
 
-// reserveTrace preallocates the trace lanes' event capacity from the
-// run length: the runtime lane records a handful of serial phases per
+// reserveTrace preallocates the trace's event capacity from the run
+// length: the runtime lane records a handful of serial phases per
 // iteration, and every DP-rank lane records 2 ops (fwd+bwd) per
 // microbatch per stage per iteration.
 func (r *Runtime) reserveTrace(n int) {
@@ -92,16 +92,12 @@ func (r *Runtime) reserveTrace(n int) {
 	if tr == nil {
 		return
 	}
-	cfg := r.cfg.Plan.Modules[model.Backbone].Config
-	dp := cfg.DP
+	dp := r.cfg.Plan.Modules[model.Backbone].Config.DP
 	k := 0
 	if per := r.cfg.Spec.GlobalBatch / max(dp, 1); r.cfg.Spec.Microbatch > 0 {
 		k = per / r.cfg.Spec.Microbatch
 	}
-	tr.Reserve(0, n*4+4)
-	for d := 0; d < dp; d++ {
-		tr.Reserve(d+1, n*2*k*r.stages+1)
-	}
+	tr.Reserve(n*4 + 4 + dp*(n*2*k*r.stages+1))
 }
 
 // Done reports whether every iteration has executed. Finish is still
