@@ -172,7 +172,7 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 	colocatedCPU := 0.0
 	if cfg.DisaggregatedPreprocess {
 		tokens := float64(perRank) * float64(spec.Model.SeqLen)
-		bd.PreprocessStall = (tokens*2/spec.Cluster.CrossNodeBandwidthPerGPU() + cfg.PreprocessFetchLatency) * ppFactor
+		bd.PreprocessStall = (tokens*2/spec.Cluster.CrossNodeBandwidthPerGPU() + preprocessFetchLatency) * ppFactor
 	} else {
 		for d := 0; d < dp; d++ {
 			stall := cfg.PreprocessCost.NodeStallSeconds(p.batch[d*perRank : (d+1)*perRank])
@@ -201,8 +201,8 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 	// whatever does overlap still interferes with the host-side
 	// training path.
 	if !cfg.DisaggregatedPreprocess {
-		hidden := math.Min(colocatedCPU, cfg.ColocOverlapCapacity*worstPipe)
-		bd.PreprocessStall = (colocatedCPU - hidden) + cfg.ColocInterference*hidden
+		hidden := math.Min(colocatedCPU, colocOverlapCapacity*worstPipe)
+		bd.PreprocessStall = (colocatedCPU - hidden) + colocInterference*hidden
 	}
 
 	// Gradient synchronisation (ZeRO-1) per module, concurrent on
