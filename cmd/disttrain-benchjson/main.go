@@ -149,8 +149,20 @@ func parse(r io.Reader) (*Report, error) {
 // representative the diff gate compares: the sample with the median
 // gated rate when the samples report one, else the fastest by wall
 // clock. The whole sample is kept (its allocs/op rides along with its
-// rate) rather than mixing metrics across samples.
+// rate) rather than mixing metrics across samples. The bench-json
+// smoke pass runs every benchmark once (Iterations 1); when the same
+// name also has timed samples, the smoke sample is dropped, because
+// its allocs/op carry warm-up allocations the timed samples amortise.
 func collapse(samples []Benchmark) Benchmark {
+	timed := samples[:0:0]
+	for _, b := range samples {
+		if b.Iterations > 1 {
+			timed = append(timed, b)
+		}
+	}
+	if len(timed) > 0 {
+		samples = timed
+	}
 	for _, unit := range []string{normUnit, throughputUnit} {
 		rated := samples[:0:0]
 		for _, b := range samples {

@@ -99,6 +99,35 @@ BenchmarkRawOnly-8 	 40 	 1900000 ns/op 	 650.0 cpu-iters/s
 	}
 }
 
+// TestParseDropsSmokeSample: the 1x smoke sample of a benchmark that
+// also has timed samples never becomes the recorded entry, even when
+// its rate would be the median of all six — its allocs/op include warm-up allocations
+// and would loosen the one-sided allocation tripwire.
+func TestParseDropsSmokeSample(t *testing.T) {
+	out := `BenchmarkColdAdmissionStorm/inline 	 1 	 33386449 ns/op 	 6756432 B/op 	 26689 allocs/op 	 60.00 band% 	 955.4 cpu-iters/s 	 958.5 iters/s 	 2478 norm-iters/s
+BenchmarkColdAdmissionStorm/inline 	 20 	 31500000 ns/op 	 4400000 B/op 	 23918 allocs/op 	 60.00 band% 	 1010 cpu-iters/s 	 1014 iters/s 	 2300 norm-iters/s
+BenchmarkColdAdmissionStorm/inline 	 20 	 31400000 ns/op 	 4400000 B/op 	 23920 allocs/op 	 60.00 band% 	 1015 cpu-iters/s 	 1019 iters/s 	 2390 norm-iters/s
+BenchmarkColdAdmissionStorm/inline 	 20 	 31300000 ns/op 	 4400000 B/op 	 23921 allocs/op 	 60.00 band% 	 1020 cpu-iters/s 	 1024 iters/s 	 2450 norm-iters/s
+BenchmarkColdAdmissionStorm/inline 	 20 	 31200000 ns/op 	 4400000 B/op 	 23919 allocs/op 	 60.00 band% 	 1025 cpu-iters/s 	 1029 iters/s 	 2600 norm-iters/s
+BenchmarkColdAdmissionStorm/inline 	 20 	 31100000 ns/op 	 4400000 B/op 	 23920 allocs/op 	 60.00 band% 	 1030 cpu-iters/s 	 1034 iters/s 	 2650 norm-iters/s
+BenchmarkPlanSearch 	 1 	 5000000 ns/op 	 100 allocs/op
+`
+	report, err := parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Benchmarks) != 2 {
+		t.Fatalf("parsed %d benchmarks, want 2: %+v", len(report.Benchmarks), report.Benchmarks)
+	}
+	storm := report.Benchmarks[0]
+	if storm.Iterations != 20 || storm.Metrics[normUnit] != 2450 || storm.Metrics[allocUnit] != 23921 {
+		t.Errorf("kept sample %+v, want the median 20x sample (2450 norm-iters/s, 23921 allocs/op)", storm)
+	}
+	if smoke := report.Benchmarks[1]; smoke.Iterations != 1 || smoke.Metrics[allocUnit] != 100 {
+		t.Errorf("smoke-only benchmark %+v, want its single 1x sample kept", smoke)
+	}
+}
+
 // TestDiffBand pins the throughput gate: within ±band passes, outside
 // fails, a baseline benchmark missing from the run fails, and extra
 // benchmarks in the new run are ignored.
