@@ -101,8 +101,8 @@ BenchmarkRawOnly-8 	 40 	 1900000 ns/op 	 650.0 cpu-iters/s
 
 // TestParseDropsSmokeSample: the 1x smoke sample of a benchmark that
 // also has timed samples never becomes the recorded entry, even when
-// its rate would be the median of all six — its allocs/op include warm-up allocations
-// and would loosen the one-sided allocation tripwire.
+// its rate would be the median of all six — its allocs/op include
+// warm-up allocations and would loosen the one-sided tripwire.
 func TestParseDropsSmokeSample(t *testing.T) {
 	out := `BenchmarkColdAdmissionStorm/inline 	 1 	 33386449 ns/op 	 6756432 B/op 	 26689 allocs/op 	 60.00 band% 	 955.4 cpu-iters/s 	 958.5 iters/s 	 2478 norm-iters/s
 BenchmarkColdAdmissionStorm/inline 	 20 	 31500000 ns/op 	 4400000 B/op 	 23918 allocs/op 	 60.00 band% 	 1010 cpu-iters/s 	 1014 iters/s 	 2300 norm-iters/s

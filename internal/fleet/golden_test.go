@@ -132,8 +132,7 @@ func TestGoldenFairShareLeaseTable(t *testing.T) {
 }
 
 // fleetTraceGoldenSHA256 is the sha256 of the merged fleet Chrome
-// trace TestFleetTraceGolden renders, recorded on the sharded-lane
-// recorder the single append-ordered buffer replaced.
+// trace TestFleetTraceGolden renders, recorded on amd64.
 const fleetTraceGoldenSHA256 = "4364962bc273db7a0dc4098fea1585872a4e5aba38841c00ff19a4adb4cc5a8b"
 
 // TestFleetTraceGolden pins the merged fleet trace bytes of a traced

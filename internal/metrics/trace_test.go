@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"sync"
 	"testing"
 )
@@ -63,6 +64,40 @@ func TestTraceConcurrentAdds(t *testing.T) {
 	wg.Wait()
 	if tr.Len() != 800 {
 		t.Errorf("lost events under concurrency: %d", tr.Len())
+	}
+}
+
+// TestTraceReadsDuringAppends: readers take the recorded slice without
+// holding the lock while a writer keeps appending, so every snapshot
+// must be an intact prefix of the final event order. Run under -race.
+func TestTraceReadsDuringAppends(t *testing.T) {
+	tr := NewTrace()
+	const n = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			tr.Complete("op", "x", i%4, 0, float64(i), 1)
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		for i, ev := range tr.Events() {
+			if int(ev.TS) != i*1e6 {
+				t.Fatalf("snapshot event %d has ts %v", i, ev.TS)
+			}
+		}
+		if err := tr.WriteJSON(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		NewTrace().AppendOffset(tr, 0, "")
+	}
+	if tr.Len() != n {
+		t.Fatalf("recorded %d events, want %d", tr.Len(), n)
 	}
 }
 
