@@ -157,10 +157,13 @@ staticcheck:
 	fi
 
 # fuzz smoke: hammer the user-facing parsers with generated inputs for
-# a few seconds each — the preprocessing wire protocol and the scenario
-# grammar (the seeded corpora always run in plain `make test`).
+# a few seconds each — the preprocessing wire protocol from both ends
+# (the consumer's batch parser and the producer's request handler) and
+# the scenario grammar (the seeded corpora always run in plain
+# `make test`).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseBatch -fuzztime=5s ./internal/preprocess
+	$(GO) test -run='^$$' -fuzz=FuzzServerFrame -fuzztime=5s ./internal/preprocess
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario
 
 # cover fails when total statement coverage regresses below

@@ -1,7 +1,8 @@
 // Preprocessing: runs the real disaggregated preprocessing service —
 // a TCP producer doing decode/resize/pack work with reordering — and a
-// prefetching training consumer, then compares the training-side stall
-// against co-located preprocessing (the Figure 17 experiment).
+// training consumer on a 1-tenant Service that fetches one iteration
+// ahead, then compares the training-side stall against co-located
+// preprocessing (the Figure 17 experiment).
 //
 //	go run ./examples/preprocessing
 package main
@@ -10,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
 	"time"
 
 	"disttrain/internal/data"
@@ -40,38 +40,51 @@ func main() {
 	}
 
 	// Producer: dedicated "CPU node" on a loopback TCP socket.
-	srv, err := preprocess.NewServer(cfg)
+	fleet, err := preprocess.StartFleet(cfg, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ln.Close()
-	go srv.Serve(ln) //nolint:errcheck
-	defer srv.Close()
-	fmt.Printf("producer listening on %s\n\n", ln.Addr())
+	defer fleet.Close()
+	fmt.Printf("producer listening on %s\n\n", fleet.Addrs()[0])
 
-	// Consumer: DP rank 0's training process with a prefetcher.
-	client, err := preprocess.Dial(ln.Addr().String())
+	// Consumer: DP rank 0's training process on a 1-tenant Service,
+	// fetching iteration i+1 while iteration i computes.
+	svc, err := preprocess.NewService(preprocess.ServiceConfig{Addrs: fleet.Addrs()})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer client.Close()
+	defer svc.Close()
+	tn, err := svc.Register(preprocess.TenantConfig{Name: "example", DP: cfg.DPSize})
+	if err != nil {
+		log.Fatal(err)
+	}
 	ctx := context.Background()
-
-	pf := preprocess.NewPrefetcher(client, 0, 0, 2)
-	defer pf.Close()
+	type fetched struct {
+		rb  *preprocess.RankBatch
+		err error
+	}
+	fetchAhead := func(iter int64) chan fetched {
+		ch := make(chan fetched, 1)
+		go func() {
+			rb, err := tn.Fetch(ctx, iter, 0)
+			ch <- fetched{rb, err}
+		}()
+		return ch
+	}
 
 	fmt.Println("disaggregated mode (producer works ahead):")
-	for iter := 0; iter < 4; iter++ {
+	next := fetchAhead(0)
+	for iter := int64(0); iter < 4; iter++ {
 		start := time.Now()
-		rb, err := pf.Next(ctx)
-		if err != nil {
-			log.Fatal(err)
+		got := <-next
+		if got.err != nil {
+			log.Fatal(got.err)
 		}
 		stall := time.Since(start)
+		if iter < 3 {
+			next = fetchAhead(iter + 1)
+		}
+		rb := got.rb
 		tokens := 0
 		for _, mb := range rb.Microbatches {
 			for _, p := range mb {

@@ -105,6 +105,38 @@ func TestFig15ShapeQuick(t *testing.T) {
 	}
 }
 
+// TestFig17ShapeQuick pins fig17's row structure and its qualitative
+// result, not its wall-clock values: every disaggregated stall is at
+// most a tenth of the co-located preprocessing time it replaces.
+func TestFig17ShapeQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real preprocessing over loopback TCP")
+	}
+	tb, err := Fig17(Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"config", "co-located", "disaggregated", "reduction"}; strings.Join(tb.Header, ",") != strings.Join(want, ",") {
+		t.Fatalf("fig17 header = %v, want %v", tb.Header, want)
+	}
+	if len(tb.Rows) != 2 {
+		t.Fatalf("fig17 rows = %d, want 2", len(tb.Rows))
+	}
+	for _, row := range tb.Rows {
+		coloc, err := time.ParseDuration(row[1])
+		if err != nil {
+			t.Fatalf("cannot parse co-located cell %q: %v", row[1], err)
+		}
+		disagg, err := time.ParseDuration(row[2])
+		if err != nil {
+			t.Fatalf("cannot parse disaggregated cell %q: %v", row[2], err)
+		}
+		if disagg > coloc/10 {
+			t.Errorf("%s: disaggregated stall %v is over a tenth of co-located %v", row[0], disagg, coloc)
+		}
+	}
+}
+
 func TestTable3UnderOneSecond(t *testing.T) {
 	tb, err := Table3(Quick)
 	if err != nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net"
 	"sort"
 	"time"
 
@@ -38,8 +37,9 @@ func (f fixedShapeSource) Sample(index int64) data.Sample {
 }
 
 // Fig17 measures real preprocessing overhead per iteration on the
-// training side, with and without disaggregation, over the real TCP
-// producer/consumer. DP size is 1, matching §7.3.
+// training side, with and without disaggregation, over a real TCP
+// producer and a 1-tenant Service consumer. DP size is 1, matching
+// §7.3.
 func Fig17(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:     "fig17",
@@ -93,42 +93,48 @@ func measurePreprocess(cfg preprocess.Config) (colocated, disagg time.Duration, 
 	}
 	colocated = time.Since(start)
 
-	// Disaggregated: a producer on a loopback TCP socket works ahead; we
+	// Disaggregated: a producer on a loopback TCP socket works ahead and
+	// a 1-tenant Service consumes, fetching iteration i+1 during
+	// iteration i's compute window — the trainer's one-ahead scheme. We
 	// measure the steady-state stall of the consumer.
-	srv, err := preprocess.NewServer(cfg)
+	fleet, err := preprocess.StartFleet(cfg, 1)
 	if err != nil {
 		return 0, 0, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	defer fleet.Close()
+	svc, err := preprocess.NewService(preprocess.ServiceConfig{Addrs: fleet.Addrs()})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer ln.Close()
-	go srv.Serve(ln) //nolint:errcheck
-	defer srv.Close()
+	defer svc.Close()
+	tn, err := svc.Register(preprocess.TenantConfig{Name: "fig17", DP: cfg.DPSize})
+	if err != nil {
+		return 0, 0, err
+	}
+	fetchAhead := func(iter int64) chan error {
+		ch := make(chan error, 1)
+		go func() { _, err := tn.Fetch(ctx, iter, 0); ch <- err }()
+		return ch
+	}
 
-	client, err := preprocess.Dial(ln.Addr().String())
-	if err != nil {
-		return 0, 0, err
-	}
-	defer client.Close()
-	pf := preprocess.NewPrefetcher(client, 0, 0, 3)
-	defer pf.Close()
-
-	if _, err := pf.Next(ctx); err != nil { // fills the pipeline
+	if err := <-fetchAhead(0); err != nil { // fills the pipeline
 		return 0, 0, err
 	}
 	// Let the producer populate its readahead window, as it would while
 	// the first training iteration computes.
+	next := fetchAhead(1)
 	time.Sleep(colocated + 50*time.Millisecond)
 	var samples []time.Duration
-	for i := 0; i < 3; i++ {
+	for iter := int64(1); iter <= 3; iter++ {
 		start = time.Now()
-		if _, err := pf.Next(ctx); err != nil {
+		if err := <-next; err != nil {
 			return 0, 0, err
 		}
 		samples = append(samples, time.Since(start))
-		time.Sleep(colocated) // the training compute window
+		if iter < 3 {
+			next = fetchAhead(iter + 1)
+			time.Sleep(colocated) // the training compute window
+		}
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	disagg = samples[len(samples)/2]

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -22,17 +21,16 @@ import (
 //	byte     opcode
 //	...      opcode-specific body
 //
-// opFetch requests one DP rank's microbatches for one iteration;
-// opBatch answers it. opFetchTenant is the fleet-shared form: the
-// request additionally carries a tenant id and the tenant's DP width,
-// so one producer fleet serves many training jobs with different
-// geometries at once — opFetch is exactly opFetchTenant with tenant 0
-// and the producer's configured DPSize. The protocol is deliberately
-// minimal: producers are stateless per request, so any consumer can
-// fetch any (tenant, iteration, rank) triple — the property that makes
-// preprocessing elastically scalable (§8).
+// opFetchTenant is the one request: it carries a tenant id, the
+// tenant's DP width, an iteration and a rank, so one producer fleet
+// serves many training jobs with different geometries at once (a
+// single job is tenant 0). opBatch answers it with that rank's
+// microbatches; opError carries a deterministic rejection. The
+// protocol is deliberately minimal: producers are stateless per
+// request, so any consumer can fetch any (tenant, iteration, rank)
+// triple — the property that makes preprocessing elastically scalable
+// (§8).
 const (
-	opFetch       byte = 0x01
 	opFetchTenant byte = 0x02
 	opBatch       byte = 0x81
 	opError       byte = 0xee
@@ -243,32 +241,16 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		switch body[0] {
-		case opFetch, opFetchTenant:
-			var (
-				tenant uint32
-				dp     int
-				iter   int64
-				rank   int
-			)
-			switch body[0] {
-			case opFetch:
-				if len(body) != 1+8+4 {
-					writeError(bw, "malformed fetch")
-					return
-				}
-				dp = s.cfg.DPSize
-				iter = int64(binary.BigEndian.Uint64(body[1:9]))
-				rank = int(binary.BigEndian.Uint32(body[9:13]))
-			case opFetchTenant:
-				if len(body) != 1+4+4+8+4 {
-					writeError(bw, "malformed tenant fetch")
-					return
-				}
-				tenant = binary.BigEndian.Uint32(body[1:5])
-				dp = int(binary.BigEndian.Uint32(body[5:9]))
-				iter = int64(binary.BigEndian.Uint64(body[9:17]))
-				rank = int(binary.BigEndian.Uint32(body[17:21]))
+		case opFetchTenant:
+			if len(body) != 1+4+4+8+4 {
+				writeError(bw, "malformed tenant fetch")
+				bw.Flush()
+				return
 			}
+			tenant := binary.BigEndian.Uint32(body[1:5])
+			dp := int(binary.BigEndian.Uint32(body[5:9]))
+			iter := int64(binary.BigEndian.Uint64(body[9:17]))
+			rank := int(binary.BigEndian.Uint32(body[17:21]))
 			rb, err := s.FetchTenant(tenant, dp, iter, rank)
 			if err != nil {
 				// Shutdown is a transport event, not a protocol answer:
@@ -297,25 +279,23 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// Fetch returns one rank's batch at the producer's configured DP
-// width, materialising the iteration if needed and kicking off
-// readahead for subsequent iterations — the single-tenant path,
-// identical to FetchTenant with tenant 0.
-func (s *Server) Fetch(iter int64, rank int) (*RankBatch, error) {
-	return s.FetchTenant(0, s.cfg.DPSize, iter, rank)
-}
-
 // FetchTenant returns one (tenant, iteration, rank) batch split across
-// dp data-parallel ranks. The tenant id partitions the fetch watermark
-// (each tenant's laggard is tracked separately); dp must divide the
-// global batch in multiples of the microbatch — a deterministic
-// protocol rejection otherwise, never a failover.
+// dp data-parallel ranks, materialising the iteration if needed and
+// kicking off readahead for subsequent iterations. The tenant id
+// partitions the fetch watermark (each tenant's laggard is tracked
+// separately); dp must divide the global batch in multiples of the
+// microbatch, the rank must lie inside dp and the iteration must not
+// be negative — each a deterministic protocol rejection otherwise,
+// never a failover.
 func (s *Server) FetchTenant(tenant uint32, dp int, iter int64, rank int) (*RankBatch, error) {
 	if dp < 1 || s.cfg.GlobalBatch%(dp*s.cfg.Microbatch) != 0 {
 		return nil, fmt.Errorf("preprocess: DP*M=%d must divide BS=%d", dp*s.cfg.Microbatch, s.cfg.GlobalBatch)
 	}
 	if rank < 0 || rank >= dp {
 		return nil, fmt.Errorf("preprocess: rank %d outside DP size %d", rank, dp)
+	}
+	if iter < 0 {
+		return nil, fmt.Errorf("preprocess: negative iteration %d", iter)
 	}
 	select {
 	case <-s.closed:
@@ -492,18 +472,25 @@ func (s *Server) build(iter int64, dp int) ([][]Processed, error) {
 		return out, nil
 	}
 	// Algorithm 1 across ranks, with the modality token count as the
-	// heterogeneous-cost proxy.
-	_, groups, err := reorder.IntraReorder(processed, modalitySize, dp)
+	// heterogeneous-cost proxy, then the rebalance to equal rank
+	// cardinalities — the trainer's assignment rule, over indices.
+	costs := make([]float64, len(processed))
+	for i, p := range processed {
+		costs[i] = modalitySize(p)
+	}
+	var part reorder.Partitioner
+	groups, err := part.Partition(costs, dp)
 	if err != nil {
 		return nil, err
 	}
-	groups = rebalanceProcessed(groups, perRank)
+	groups = part.Rebalance(groups, perRank, costs)
 	// Algorithm 2 within each rank over a stage-time proxy: encoder
 	// time tracks image tokens, generator time tracks generated images,
 	// the LLM stages are constant.
-	for d := range groups {
-		mbs := make([]reorder.Microbatch, len(groups[d]))
-		for j, p := range groups[d] {
+	for d, g := range groups {
+		mbs := make([]reorder.Microbatch, len(g))
+		for j, i := range g {
+			p := processed[i]
 			fwd := make([]float64, s.cfg.PipelineStages)
 			bwd := make([]float64, s.cfg.PipelineStages)
 			for st := range fwd {
@@ -525,7 +512,7 @@ func (s *Server) build(iter int64, dp int) ([][]Processed, error) {
 		}
 		reordered := make([]Processed, len(order))
 		for j, mb := range order {
-			reordered[j] = groups[d][mb.Index]
+			reordered[j] = processed[g[mb.Index]]
 		}
 		out[d] = reordered
 	}
@@ -534,36 +521,9 @@ func (s *Server) build(iter int64, dp int) ([][]Processed, error) {
 
 // modalitySize is the heterogeneous-cost proxy of a processed sample:
 // modality tokens plus a fixed charge per generated image. Algorithm
-// 1's partition and the rebalance below both order by it.
+// 1's partition and the rebalance both order by it.
 func modalitySize(p Processed) float64 {
 	return float64(p.ImageTokens) + 64*float64(p.GenImages)
-}
-
-// rebalanceProcessed equalises group cardinalities after LPT, moving
-// surplus samples smallest-cost first — the same contract the
-// trainer's rebalance pins: moving the cheapest samples does the least
-// damage to the partition balance. The multiset of samples is
-// preserved; only ownership moves.
-func rebalanceProcessed(groups [][]Processed, perRank int) [][]Processed {
-	var surplus []Processed
-	for d := range groups {
-		if len(groups[d]) > perRank {
-			surplus = append(surplus, groups[d][perRank:]...)
-			groups[d] = groups[d][:perRank]
-		}
-	}
-	// Smallest first; stable so ties keep the deterministic group
-	// emission order.
-	sort.SliceStable(surplus, func(a, b int) bool {
-		return modalitySize(surplus[a]) < modalitySize(surplus[b])
-	})
-	for d := range groups {
-		for len(groups[d]) < perRank && len(surplus) > 0 {
-			groups[d] = append(groups[d], surplus[0])
-			surplus = surplus[1:]
-		}
-	}
-	return groups
 }
 
 // --- wire helpers ---
@@ -690,8 +650,10 @@ func parseBatch(body []byte) (*RankBatch, error) {
 	return rb, nil
 }
 
-// Colocated runs the identical preprocessing pipeline synchronously on
-// the caller — the monolithic baseline whose stall Figure 17 measures.
+// Colocated runs the pixel pipeline synchronously on the caller — the
+// monolithic baseline whose stall Figure 17 measures. It is a timing
+// baseline, not the producer's split: it skips reordering and the
+// worker pool, handing each rank a contiguous block of samples.
 type Colocated struct {
 	cfg Config
 }

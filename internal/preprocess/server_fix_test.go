@@ -1,11 +1,12 @@
 package preprocess
 
 import (
-	"context"
 	"errors"
 	"sort"
 	"testing"
 	"time"
+
+	"disttrain/internal/reorder"
 )
 
 // Close must wait for readahead builds: the readahead goroutines are
@@ -20,7 +21,7 @@ func TestCloseWaitsForReadahead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Fetch(0, 0); err != nil {
+	if _, err := srv.FetchTenant(0, cfg.DPSize, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -32,7 +33,7 @@ func TestCloseWaitsForReadahead(t *testing.T) {
 	// A closed server refuses new work with the shutdown sentinel — a
 	// transport-level condition the handler must never answer as an
 	// opError frame (the pool would refuse to fail over on it).
-	if _, err := srv.Fetch(1, 0); !errors.Is(err, errServerClosed) {
+	if _, err := srv.FetchTenant(0, cfg.DPSize, 1, 0); !errors.Is(err, errServerClosed) {
 		t.Errorf("closed server returned %v, want errServerClosed", err)
 	}
 	if srv.begin() {
@@ -57,12 +58,12 @@ func TestEvictionHonoursLaggingRank(t *testing.T) {
 	// Both ranks fetch iteration 0, then rank 0 races far ahead of the
 	// old Readahead+2 eviction horizon.
 	for rank := 0; rank < 2; rank++ {
-		if _, err := srv.Fetch(0, rank); err != nil {
+		if _, err := srv.FetchTenant(0, cfg.DPSize, 0, rank); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for iter := int64(1); iter <= 10; iter++ {
-		if _, err := srv.Fetch(iter, 0); err != nil {
+		if _, err := srv.FetchTenant(0, cfg.DPSize, iter, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +71,7 @@ func TestEvictionHonoursLaggingRank(t *testing.T) {
 	// Rank 1 is 10 iterations behind: its next batches must all be
 	// cache hits, not rebuilds.
 	for iter := int64(1); iter <= 10; iter++ {
-		if _, err := srv.Fetch(iter, 1); err != nil {
+		if _, err := srv.FetchTenant(0, cfg.DPSize, iter, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +105,7 @@ func TestCacheCapBoundsDeadRank(t *testing.T) {
 	}
 	defer srv.Close()
 	for iter := int64(0); iter < 20; iter++ {
-		if _, err := srv.Fetch(iter, 0); err != nil {
+		if _, err := srv.FetchTenant(0, cfg.DPSize, iter, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,86 +121,63 @@ func TestCacheCapBoundsDeadRank(t *testing.T) {
 	}
 }
 
-// Once the prefetch loop dies, Next must re-deliver the terminal error
-// on every call instead of blocking on a channel nothing feeds.
-func TestPrefetcherRedeliversTerminalError(t *testing.T) {
-	cfg := Config{
-		Source:      fixedSource{images: 1, resolution: 32, seqLen: 128},
-		GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2,
-	}
-	_, addr := startServer(t, cfg)
-	client, err := Dial(addr)
+// The producer's rebalance moves surplus smallest-cost first and
+// preserves the sample multiset, over the groups Algorithm 1's
+// partition actually emits (non-increasing cost within each group).
+func TestRebalanceProcessedSmallestFirstAndPreservesMultiset(t *testing.T) {
+	// Two heavy samples claim groups 0 and 1 alone; the light ones pile
+	// into group 2, whose surplus must refill groups 0 and 1 cheapest
+	// first.
+	costs := []float64{900, 10, 800, 30, 10, 20, 40, 30, 10}
+	var part reorder.Partitioner
+	groups, err := part.Partition(costs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-
-	// Rank 99 is out of range: the first fetch fails terminally.
-	pf := NewPrefetcher(client, 99, 0, 2)
-	defer pf.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	first := func() error { _, err := pf.Next(ctx); return err }
-	if err := first(); err == nil {
-		t.Fatal("bad rank prefetch succeeded")
-	}
-	// The queue is drained now; every further Next must return the same
-	// terminal error immediately, not block until the context dies.
-	start := time.Now()
-	for i := 0; i < 3; i++ {
-		if _, err := pf.Next(ctx); err == nil || errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("call %d: got %v, want re-delivered terminal error", i, err)
+	var surplus []int
+	for _, g := range groups {
+		if len(g) > 3 {
+			surplus = append(surplus, g[3:]...)
 		}
 	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("drained prefetcher blocked for %v", d)
+	if len(surplus) < 2 {
+		t.Fatalf("partition %v leaves no surplus to move", groups)
 	}
-}
+	sort.SliceStable(surplus, func(a, b int) bool { return costs[surplus[a]] < costs[surplus[b]] })
 
-// rebalanceProcessed moves surplus smallest-cost first and preserves
-// the sample multiset — the contract pinned for the trainer in PR 2.
-func TestRebalanceProcessedSmallestFirstAndPreservesMultiset(t *testing.T) {
-	mk := func(idx int64, imageTokens int32) Processed {
-		return Processed{SampleIndex: idx, ImageTokens: imageTokens}
-	}
-	// Group 0's surplus holds the cheapest sample first, so the old
-	// tail-first movement would hand group 1 the most expensive one.
-	groups := [][]Processed{
-		{mk(0, 10), mk(1, 10), mk(2, 100), mk(3, 900)},
-		{mk(4, 10)},
-		{mk(5, 10)},
-	}
-	count := func(groups [][]Processed) map[int64]int {
-		m := map[int64]int{}
+	count := func(groups [][]int) map[int]int {
+		m := map[int]int{}
 		for _, g := range groups {
-			for _, p := range g {
-				m[p.SampleIndex]++
+			for _, i := range g {
+				m[i]++
 			}
 		}
 		return m
 	}
 	before := count(groups)
-
-	out := rebalanceProcessed(groups, 2)
-	for d, g := range out {
-		if len(g) != 2 {
-			t.Fatalf("group %d has %d samples, want 2", d, len(g))
-		}
+	short := make([]int, len(groups))
+	for d, g := range groups {
+		short[d] = 3 - len(g)
 	}
+	out := part.Rebalance(groups, 3, costs)
 	after := count(out)
-	for idx, n := range before {
-		if after[idx] != n {
-			t.Fatalf("sample %d count changed: %d -> %d", idx, n, after[idx])
+	for i, n := range before {
+		if after[i] != n {
+			t.Fatalf("sample %d count changed: %d -> %d", i, n, after[i])
 		}
 	}
-	// Group 1 was 1 short: it must receive the cheapest surplus sample
-	// (index 2, cost 100), not the tail (index 3, cost 900).
-	if got := out[1][1].SampleIndex; got != 2 {
-		t.Errorf("group 1 received sample %d, want smallest-first sample 2", got)
-	}
-	// Group 2 takes the remaining (expensive) one.
-	if got := out[2][1].SampleIndex; got != 3 {
-		t.Errorf("group 2 received sample %d, want 3", got)
+	// Underfull groups, in group order, take the surplus cheapest first.
+	next := 0
+	for d, g := range out {
+		if len(g) != 3 {
+			t.Fatalf("group %d has %d samples", d, len(g))
+		}
+		for k := 0; k < short[d]; k++ {
+			if got := g[3-short[d]+k]; got != surplus[next] {
+				t.Errorf("group %d slot %d got sample %d (cost %g), want %d (cost %g)",
+					d, 3-short[d]+k, got, costs[got], surplus[next], costs[surplus[next]])
+			}
+			next++
+		}
 	}
 }

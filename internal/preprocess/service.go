@@ -144,12 +144,6 @@ func (s *Service) Size() int { return len(s.members) }
 // Snapshot returns the aggregate counters across all tenants.
 func (s *Service) Snapshot() metrics.PoolSnapshot { return s.stats.Snapshot() }
 
-// TenantSnapshots returns the per-tenant counters, keyed by tenant
-// name.
-func (s *Service) TenantSnapshots() map[string]metrics.PoolSnapshot {
-	return s.stats.LabeledSnapshots()
-}
-
 // Register adds a tenant and returns its fetch handle. Tenant ids are
 // assigned in registration order — the id feeds the deterministic
 // primary-member assignment, so registration order is part of the
@@ -343,7 +337,7 @@ func (s *Service) fetchWithFailover(ctx context.Context, t *Tenant, dp int, iter
 			t.stats.RecordFailover()
 			continue
 		}
-		rb, err := m.fetchTenant(ctx, s.cfg.DialTimeout, s.cfg.FetchTimeout, uint32(t.id), dp, iter, rank)
+		rb, err := m.fetch(ctx, s.cfg.DialTimeout, s.cfg.FetchTimeout, uint32(t.id), dp, iter, rank)
 		if err == nil {
 			return rb, nil
 		}
@@ -548,20 +542,12 @@ func (m *poolMember) markDown(until time.Time) {
 	}
 }
 
-// fetchTenant runs one tenant-keyed request at the tenant's DP width
-// against this member. The member lock serialises requests on the
-// shared connection (the Client serialises anyway; holding the lock
-// keeps dial/teardown atomic with the request).
-func (m *poolMember) fetchTenant(ctx context.Context, dialTO, fetchTO time.Duration, tenant uint32, dp int, iter int64, rank int) (*RankBatch, error) {
-	return m.do(dialTO, fetchTO, func(c *Client) (*RankBatch, error) {
-		return c.FetchTenant(ctx, tenant, dp, iter, rank)
-	})
-}
-
-// do runs one request callback against this member's lazily-dialed
-// client, dropping the connection on transport failure (a ServerError
-// is a protocol answer: the connection stays).
-func (m *poolMember) do(dialTO, fetchTO time.Duration, call func(*Client) (*RankBatch, error)) (*RankBatch, error) {
+// fetch runs one tenant-keyed request at the tenant's DP width
+// against this member's lazily-dialed client. The member lock keeps
+// dial and teardown atomic with the request; a transport failure drops
+// the connection so the next attempt re-dials (a ServerError is a
+// protocol answer: the connection stays).
+func (m *poolMember) fetch(ctx context.Context, dialTO, fetchTO time.Duration, tenant uint32, dp int, iter int64, rank int) (*RankBatch, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -575,15 +561,11 @@ func (m *poolMember) do(dialTO, fetchTO time.Duration, call func(*Client) (*Rank
 		c.SetTimeout(fetchTO)
 		m.client = c
 	}
-	rb, err := call(m.client)
-	if err != nil {
-		var se *ServerError
-		if !errors.As(err, &se) {
-			// Transport failure: the connection is suspect either way.
-			m.client.Close()
-			m.client = nil
-		}
-		return nil, err
+	rb, err := m.client.FetchTenant(ctx, tenant, dp, iter, rank)
+	var se *ServerError
+	if err != nil && !errors.As(err, &se) {
+		m.client.Close()
+		m.client = nil
 	}
-	return rb, nil
+	return rb, err
 }

@@ -93,7 +93,7 @@ func TestPoolMatchesDirectFetch(t *testing.T) {
 
 	ctx := context.Background()
 	for _, addr := range fleet.Addrs() {
-		client, err := Dial(addr)
+		client, err := DialTimeout(addr, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,22 +114,21 @@ func TestPoolMatchesDirectFetch(t *testing.T) {
 	}
 }
 
-// Tenant 0 at the producers' own DP width is byte-identical to a bare
-// Client.Fetch, the path the Fig. 17 reproduction and the
-// preprocessing example use: the tenant-keyed and the plain wire ops
-// split a batch identically when the widths agree.
-func TestServiceTenantZeroMatchesClientFetch(t *testing.T) {
+// A 1-tenant service is byte-identical to an in-process producer's
+// own FetchTenant for tenant 0 at the same DP width: neither the wire,
+// the failover ring nor the tenant cache changes what a rank receives.
+func TestServiceTenantZeroMatchesServerFetchTenant(t *testing.T) {
 	fleet, err := StartFleet(fleetConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
 	tn := testTenant(t, fleet, ServiceConfig{})
-	client, err := Dial(fleet.Addrs()[0])
+	srv, err := NewServer(fleetConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
+	defer srv.Close()
 
 	ctx := context.Background()
 	for iter := int64(0); iter < 4; iter++ {
@@ -138,7 +137,7 @@ func TestServiceTenantZeroMatchesClientFetch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := client.Fetch(ctx, iter, rank)
+			want, err := srv.FetchTenant(0, fleetConfig().DPSize, iter, rank)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -463,7 +462,7 @@ func TestServiceQuotaSaturationIsolatesTenants(t *testing.T) {
 	}
 	svc.release(a)
 
-	snaps := svc.TenantSnapshots()
+	snaps := svc.stats.LabeledSnapshots()
 	if got := snaps["a"].Rejections; got != 1 {
 		t.Errorf("tenant a rejections = %d, want 1", got)
 	}
@@ -587,7 +586,7 @@ func TestServiceFailoverAcrossTenants(t *testing.T) {
 			}
 		}
 	}
-	snaps := svc.TenantSnapshots()
+	snaps := svc.stats.LabeledSnapshots()
 	if snaps["a"].Failovers == 0 || snaps["b"].Failovers == 0 {
 		t.Fatalf("failovers a=%d b=%d, want both > 0 (fair degradation)",
 			snaps["a"].Failovers, snaps["b"].Failovers)

@@ -1,11 +1,19 @@
 package preprocess
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"math/rand"
+	"net"
+	"os"
 	"reflect"
 	"testing"
+	"time"
+
+	"disttrain/internal/metrics"
 )
 
 // encodeBatch serialises a RankBatch body (no frame length prefix) the
@@ -135,4 +143,97 @@ func normalize(rb *RankBatch) *RankBatch {
 		out.Microbatches = append(out.Microbatches, nmb)
 	}
 	return out
+}
+
+// tenantFrame encodes one opFetchTenant request body.
+func tenantFrame(tenant uint32, dp int, iter int64, rank int) []byte {
+	body := []byte{opFetchTenant}
+	body = binary.BigEndian.AppendUint32(body, tenant)
+	body = binary.BigEndian.AppendUint32(body, uint32(dp))
+	body = binary.BigEndian.AppendUint64(body, uint64(iter))
+	return binary.BigEndian.AppendUint32(body, uint32(rank))
+}
+
+// A negative iteration is a deterministic rejection: the producer
+// answers with an opError frame, so the service returns a ServerError
+// instead of failing over across members that would all refuse it.
+func TestNegativeIterationRejected(t *testing.T) {
+	fleet, err := StartFleet(fleetConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	client, err := DialTimeout(fleet.Addrs()[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	var se *ServerError
+	if _, err := client.FetchTenant(context.Background(), 0, 2, -3, 0); !errors.As(err, &se) {
+		t.Fatalf("negative iteration over the wire: got %v, want a ServerError", err)
+	}
+	stats := &metrics.PoolStats{}
+	tn := testTenant(t, fleet, ServiceConfig{Stats: stats})
+	if _, err := tn.Fetch(context.Background(), -3, 0); !errors.As(err, &se) {
+		t.Fatalf("negative iteration through the service: got %v, want a ServerError", err)
+	}
+	if got := stats.Snapshot().Failovers; got != 0 {
+		t.Errorf("deterministic rejection caused %d failovers", got)
+	}
+}
+
+// FuzzServerFrame feeds arbitrary frame bodies to the producer's
+// connection handler over an in-memory pipe. Whatever arrives, the
+// handler answers with one batch or one opError frame, or closes the
+// connection — it never panics and never hangs.
+func FuzzServerFrame(f *testing.F) {
+	retired := []byte{0x01} // the removed single-tenant fetch op
+	retired = binary.BigEndian.AppendUint64(retired, 0)
+	f.Add(binary.BigEndian.AppendUint32(retired, 0))
+	f.Add(tenantFrame(0, 2, -3, 0))
+	f.Add(tenantFrame(0, 2, 1, 1)[:10])
+	f.Add(tenantFrame(7, 4, 2, 3))
+	f.Add(tenantFrame(0, 3, 0, 0))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cfg := fleetConfig()
+		cfg.GlobalBatch, cfg.Workers, cfg.CacheCap = 4, 2, 2
+		srv, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		peer, conn := net.Pipe()
+		defer peer.Close()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.handle(conn)
+		}()
+		go func() {
+			frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+			peer.Write(append(frame, body...)) //nolint:errcheck // the handler may hang up first
+		}()
+
+		peer.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+		reply, err := readFrame(bufio.NewReader(peer))
+		switch {
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			t.Fatal("handler neither answered nor closed the connection")
+		case err != nil:
+			// The handler hung up: an allowed answer.
+		case len(reply) > 0 && reply[0] == opError:
+		default:
+			if _, err := parseBatch(reply); err != nil {
+				t.Fatalf("reply is neither a batch nor an error frame: %v", err)
+			}
+		}
+		peer.Close()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("handler did not return after the peer closed")
+		}
+	})
 }

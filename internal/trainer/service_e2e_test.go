@@ -13,10 +13,11 @@ import (
 
 // privateClientSource is a job's private, unshared consumer of one
 // producer: every rank's batch is fetched over a bare preprocess.Client
-// at the producer's own DP width — no service, no tenant key, no
-// admission, no failover.
+// as tenant 0 at the producer's own DP width — no service, no
+// admission, no failover, no consumer cache.
 type privateClientSource struct {
 	client  *preprocess.Client
+	dp      int
 	samples preprocess.Source
 }
 
@@ -24,7 +25,7 @@ func (p privateClientSource) Assign(iter, dp int) ([]data.Sample, [][]data.Sampl
 	ranks := make([][]data.Sample, dp)
 	var batch []data.Sample
 	for d := 0; d < dp; d++ {
-		rb, err := p.client.Fetch(context.Background(), int64(iter), d)
+		rb, err := p.client.FetchTenant(context.Background(), 0, p.dp, int64(iter), d)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -58,14 +59,14 @@ func TestServiceSingleTenantMatchesPrivatePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer privFleet.Close()
-	client, err := preprocess.Dial(privFleet.Addrs()[0])
+	client, err := preprocess.DialTimeout(privFleet.Addrs()[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 
 	private := DistTrainConfig(h.spec, h.plan, h.corpus)
-	private.Source = privateClientSource{client: client, samples: h.corpus}
+	private.Source = privateClientSource{client: client, dp: h.pcfg.DPSize, samples: h.corpus}
 	ref, err := train(t, private, iters)
 	if err != nil {
 		t.Fatal(err)

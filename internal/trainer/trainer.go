@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"disttrain/internal/cluster"
@@ -525,41 +524,6 @@ func (r *Runtime) assign(batch []data.Sample) ([][]data.Sample, error) {
 		off += len(g)
 	}
 	return out, nil
-}
-
-// rebalance moves surplus samples (smallest first, so balance damage is
-// minimal) from overfull groups to underfull ones. The multiset of
-// samples is preserved: only ownership moves. This sort-based form is
-// the pinned reference; the hot path runs the sort-free
-// reorder.(*Partitioner).Rebalance, which tests hold byte-identical to
-// this.
-func rebalance(groups [][]data.Sample, perRank int, size func(data.Sample) float64) [][]data.Sample {
-	var surplus []data.Sample
-	for d := range groups {
-		if len(groups[d]) > perRank {
-			surplus = append(surplus, groups[d][perRank:]...)
-			groups[d] = groups[d][:perRank]
-		}
-	}
-	// Smallest first; stable so ties keep the deterministic group
-	// emission order.
-	slices.SortStableFunc(surplus, func(a, b data.Sample) int {
-		sa, sb := size(a), size(b)
-		if sa < sb {
-			return -1
-		}
-		if sb < sa {
-			return 1
-		}
-		return 0
-	})
-	for d := range groups {
-		for len(groups[d]) < perRank && len(surplus) > 0 {
-			groups[d] = append(groups[d], surplus[0])
-			surplus = surplus[1:]
-		}
-	}
-	return groups
 }
 
 // gradSync returns the exposed gradient/parameter synchronisation time:

@@ -11,6 +11,7 @@ import (
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/profiler"
+	"disttrain/internal/reorder"
 )
 
 // buildSpec wires a calibrated orchestration spec for tests at the
@@ -279,76 +280,101 @@ func TestReorderingPreservesGradients(t *testing.T) {
 	}
 }
 
-func TestRebalanceKeepsCounts(t *testing.T) {
-	corpus, _ := data.NewCorpus(data.LAION400M())
-	batch := corpus.GlobalBatch(0, 12)
-	groups := [][]data.Sample{
-		append([]data.Sample(nil), batch[:6]...),
-		append([]data.Sample(nil), batch[6:8]...),
-		append([]data.Sample(nil), batch[8:12]...),
+// rebalanceFixture prices a LAION batch by image tokens, with two
+// outliers at six times their price, and partitions it with Algorithm
+// 1 across dp groups — the groups the assignment path hands to
+// Rebalance. The outliers each claim a group nearly alone, so some
+// group ends over quota and the rebalance has work to do; the fixture
+// fails the test otherwise.
+func rebalanceFixture(t *testing.T, iter int64, n, dp int) (*reorder.Partitioner, [][]int, []float64) {
+	t.Helper()
+	corpus, err := data.NewCorpus(data.LAION400M())
+	if err != nil {
+		t.Fatal(err)
 	}
-	size := func(s data.Sample) float64 { return float64(s.TotalImageTokens()) }
-	out := rebalance(groups, 4, size)
-	total := 0
+	batch := corpus.GlobalBatch(iter, n)
+	costs := make([]float64, n)
+	for i, s := range batch {
+		costs[i] = float64(s.TotalImageTokens())
+	}
+	costs[0] *= 6
+	costs[n/2] *= 6
+	part := &reorder.Partitioner{}
+	groups, err := part.Partition(costs, dp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range groups {
+		if len(g) > n/dp {
+			return part, groups, costs
+		}
+	}
+	t.Fatalf("partition %v leaves no group over quota", groups)
+	return nil, nil, nil
+}
+
+func TestRebalanceKeepsCounts(t *testing.T) {
+	part, groups, costs := rebalanceFixture(t, 0, 12, 3)
+	out := part.Rebalance(groups, 4, costs)
+	seen := map[int]bool{}
 	for d, g := range out {
 		if len(g) != 4 {
 			t.Errorf("group %d has %d samples, want 4", d, len(g))
 		}
-		total += len(g)
+		for _, i := range g {
+			seen[i] = true
+		}
 	}
-	if total != 12 {
-		t.Errorf("samples lost: %d", total)
+	if len(seen) != 12 {
+		t.Errorf("samples lost: %d distinct of 12", len(seen))
 	}
 }
 
 // TestRebalanceMovesSmallestFirstAndPreservesMultiset pins the
-// documented contract: surplus moves smallest-cost first, and the
-// multiset of samples is exactly preserved — rebalance only changes
-// ownership, never content.
+// documented contract: surplus moves smallest-cost first (ties in
+// group order), and the multiset of samples is exactly preserved —
+// rebalance only changes ownership, never content.
 func TestRebalanceMovesSmallestFirstAndPreservesMultiset(t *testing.T) {
-	corpus, _ := data.NewCorpus(data.LAION400M())
-	batch := corpus.GlobalBatch(1, 12)
-	size := func(s data.Sample) float64 { return float64(s.TotalImageTokens()) }
-
-	count := func(groups [][]data.Sample) map[int64]int {
-		m := map[int64]int{}
+	part, groups, costs := rebalanceFixture(t, 1, 12, 3)
+	count := func(groups [][]int) map[int]int {
+		m := map[int]int{}
 		for _, g := range groups {
-			for _, s := range g {
-				m[s.Index]++
+			for _, i := range g {
+				m[i]++
 			}
 		}
 		return m
 	}
-
-	groups := [][]data.Sample{
-		append([]data.Sample(nil), batch[:7]...), // 3 surplus
-		append([]data.Sample(nil), batch[7:9]...),
-		append([]data.Sample(nil), batch[9:12]...),
-	}
 	before := count(groups)
+	// The surplus, cheapest first — the order it must move in.
+	var surplus []int
+	short := make([]int, len(groups))
+	for d, g := range groups {
+		if len(g) > 4 {
+			surplus = append(surplus, g[4:]...)
+		}
+		short[d] = 4 - len(g)
+	}
+	sort.SliceStable(surplus, func(a, b int) bool { return costs[surplus[a]] < costs[surplus[b]] })
 
-	// The three surplus samples, cheapest first — the order they must
-	// move in.
-	surplus := append([]data.Sample(nil), batch[4:7]...)
-	sort.SliceStable(surplus, func(a, b int) bool { return size(surplus[a]) < size(surplus[b]) })
-
-	out := rebalance(groups, 4, size)
+	out := part.Rebalance(groups, 4, costs)
 	if got := count(out); !reflect.DeepEqual(got, before) {
 		t.Errorf("rebalance changed the sample multiset:\nbefore %v\nafter  %v", before, got)
 	}
-	// Group 1 was 2 under quota: it must have received the two
-	// smallest surplus samples, in ascending cost order.
-	g1 := out[1]
-	if len(g1) != 4 {
-		t.Fatalf("group 1 has %d samples, want 4", len(g1))
+	// Underfull groups, in group order, fill from the sorted surplus.
+	next := 0
+	for d, g := range out {
+		if len(g) != 4 {
+			t.Fatalf("group %d has %d samples, want 4", d, len(g))
+		}
+		for k := 4 - short[d]; k < 4 && short[d] > 0; k++ {
+			if g[k] != surplus[next] {
+				t.Errorf("group %d slot %d got sample %d, want smallest-first %d", d, k, g[k], surplus[next])
+			}
+			next++
+		}
 	}
-	if g1[2].Index != surplus[0].Index || g1[3].Index != surplus[1].Index {
-		t.Errorf("group 1 received %d,%d, want smallest-first %d,%d",
-			g1[2].Index, g1[3].Index, surplus[0].Index, surplus[1].Index)
-	}
-	// Group 2 was 1 under quota: it gets the remaining (largest)
-	// surplus sample.
-	if out[2][3].Index != surplus[2].Index {
-		t.Errorf("group 2 received %d, want %d", out[2][3].Index, surplus[2].Index)
+	if next != len(surplus) {
+		t.Errorf("%d surplus samples moved, want %d", next, len(surplus))
 	}
 }
