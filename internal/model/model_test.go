@@ -63,7 +63,7 @@ func TestMLLMTotals(t *testing.T) {
 		if err := c.m.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.m.Name, err)
 		}
-		gotB := c.m.TotalParams() / 1e9
+		gotB := totalParams(c.m) / 1e9
 		if math.Abs(gotB-c.wantB)/c.wantB > 0.20 {
 			t.Errorf("%s = %.2fB params, want ~%.0fB", c.m.Name, gotB, c.wantB)
 		}
@@ -286,4 +286,9 @@ func TestSampleShapeAccessors(t *testing.T) {
 	if s.TotalImageTokens() != 600 {
 		t.Errorf("TotalImageTokens = %d", s.TotalImageTokens())
 	}
+}
+
+// totalParams returns the full model size (the "9B" in MLLM-9B).
+func totalParams(m MLLM) float64 {
+	return m.Params(Encoder) + m.Params(Backbone) + m.Params(Generator)
 }

@@ -124,66 +124,6 @@ func (u *Unit) Rank(c Coord) int {
 	return u.Slice.First + (c.PP*cfg.DP+c.DP)*cfg.TP + c.TP
 }
 
-// CoordOf converts a global rank to its grid coordinate.
-func (u *Unit) CoordOf(rank int) (Coord, error) {
-	if !u.Slice.Contains(rank) {
-		return Coord{}, fmt.Errorf("unit %s: rank %d outside %v", u.Name, rank, u.Slice)
-	}
-	local := rank - u.Slice.First
-	cfg := u.Config
-	return Coord{
-		TP: local % cfg.TP,
-		DP: (local / cfg.TP) % cfg.DP,
-		PP: local / (cfg.TP * cfg.DP),
-	}, nil
-}
-
-// TPGroup returns the global ranks of one tensor-parallel group.
-func (u *Unit) TPGroup(dp, pp int) []int {
-	out := make([]int, u.Config.TP)
-	for t := range out {
-		out[t] = u.Rank(Coord{DP: dp, PP: pp, TP: t})
-	}
-	return out
-}
-
-// DPGroup returns the global ranks that all-reduce gradients together:
-// same pp stage, same tp index, across DP.
-func (u *Unit) DPGroup(tp, pp int) []int {
-	out := make([]int, u.Config.DP)
-	for d := range out {
-		out[d] = u.Rank(Coord{DP: d, PP: pp, TP: tp})
-	}
-	return out
-}
-
-// PPGroup returns the global ranks forming one pipeline: same dp and tp
-// index across stages.
-func (u *Unit) PPGroup(tp, dp int) []int {
-	out := make([]int, u.Config.PP)
-	for p := range out {
-		out[p] = u.Rank(Coord{DP: dp, PP: p, TP: tp})
-	}
-	return out
-}
-
-// StageRanks returns all ranks of one pipeline stage.
-func (u *Unit) StageRanks(pp int) []int {
-	cfg := u.Config
-	out := make([]int, 0, cfg.DP*cfg.TP)
-	for d := 0; d < cfg.DP; d++ {
-		for t := 0; t < cfg.TP; t++ {
-			out = append(out, u.Rank(Coord{DP: d, PP: pp, TP: t}))
-		}
-	}
-	return out
-}
-
-// FirstStageRanks and LastStageRanks expose the unit's boundary stages,
-// where communication brokers attach (§6).
-func (u *Unit) FirstStageRanks() []int { return u.StageRanks(0) }
-func (u *Unit) LastStageRanks() []int  { return u.StageRanks(u.Config.PP - 1) }
-
 // BrokerCount returns the number of communication brokers deployed
 // between an upstream and a downstream unit: the greatest common
 // divisor of their DP sizes, so total inter-unit bandwidth scales with

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -66,7 +67,7 @@ func TestRankCoordRoundTrip(t *testing.T) {
 					t.Fatalf("rank %d assigned twice", r)
 				}
 				seen[r] = true
-				got, err := u.CoordOf(r)
+				got, err := u.coordOf(r)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,11 +80,11 @@ func TestRankCoordRoundTrip(t *testing.T) {
 	if len(seen) != 24 {
 		t.Fatalf("covered %d ranks, want 24", len(seen))
 	}
-	if _, err := u.CoordOf(15); err == nil {
-		t.Error("CoordOf should reject ranks outside the slice")
+	if _, err := u.coordOf(15); err == nil {
+		t.Error("coordOf should reject ranks outside the slice")
 	}
-	if _, err := u.CoordOf(40); err == nil {
-		t.Error("CoordOf should reject ranks past the slice")
+	if _, err := u.coordOf(40); err == nil {
+		t.Error("coordOf should reject ranks past the slice")
 	}
 }
 
@@ -94,7 +95,7 @@ func TestTPGroupsStayWithinNodes(t *testing.T) {
 	cl := cluster.Production(16)
 	for pp := 0; pp < 2; pp++ {
 		for dp := 0; dp < 4; dp++ {
-			g := u.TPGroup(dp, pp)
+			g := u.tpGroup(dp, pp)
 			for _, r := range g[1:] {
 				if !cl.SameNode(g[0], r) {
 					t.Fatalf("TP group %v crosses nodes", g)
@@ -106,30 +107,26 @@ func TestTPGroupsStayWithinNodes(t *testing.T) {
 
 func TestGroupShapes(t *testing.T) {
 	u := mustUnit(t, "llm", Plain(2, 3, 4), 8)
-	if g := u.TPGroup(1, 2); len(g) != 2 {
-		t.Errorf("TP group size %d", len(g))
+	if g := u.tpGroup(1, 2); len(g) != 2 || g[1] != g[0]+1 {
+		t.Errorf("TP group %v, want 2 adjacent ranks (TP innermost)", g)
 	}
-	if g := u.DPGroup(0, 1); len(g) != 4 {
-		t.Errorf("DP group size %d", len(g))
+	// Stage 0 must be the lowest ranks (PP outermost): its DP*TP ranks
+	// are exactly [8,16).
+	var stage []int
+	for dp := 0; dp < 4; dp++ {
+		stage = append(stage, u.tpGroup(dp, 0)...)
 	}
-	if g := u.PPGroup(1, 3); len(g) != 3 {
-		t.Errorf("PP group size %d", len(g))
+	sort.Ints(stage)
+	for i, r := range stage {
+		if r != 8+i {
+			t.Fatalf("stage 0 ranks = %v, want [8,16)", stage)
+		}
 	}
-	stage := u.StageRanks(0)
-	if len(stage) != 8 {
-		t.Errorf("stage size %d, want DP*TP=8", len(stage))
-	}
-	// Stage 0 must be the lowest ranks (PP outermost).
-	sorted := append([]int(nil), stage...)
-	sort.Ints(sorted)
-	if sorted[0] != 8 || sorted[len(sorted)-1] != 15 {
-		t.Errorf("stage 0 ranks = %v, want [8,16)", sorted)
-	}
-	if !reflect.DeepEqual(u.FirstStageRanks(), u.StageRanks(0)) {
-		t.Error("FirstStageRanks mismatch")
-	}
-	if !reflect.DeepEqual(u.LastStageRanks(), u.StageRanks(2)) {
-		t.Error("LastStageRanks mismatch")
+	// One pipeline (fixed DP and TP index) strides a whole stage per hop.
+	for pp := 1; pp < 3; pp++ {
+		if d := u.Rank(Coord{DP: 1, PP: pp, TP: 1}) - u.Rank(Coord{DP: 1, PP: pp - 1, TP: 1}); d != 8 {
+			t.Errorf("PP hop %d strides %d ranks, want DP*TP=8", pp, d)
+		}
 	}
 }
 
@@ -246,4 +243,28 @@ func TestAssignBrokersPartition(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// coordOf converts a global rank to its grid coordinate — the inverse
+// of Rank, the round-trip oracle.
+func (u *Unit) coordOf(rank int) (Coord, error) {
+	if !u.Slice.Contains(rank) {
+		return Coord{}, fmt.Errorf("unit %s: rank %d outside %v", u.Name, rank, u.Slice)
+	}
+	local := rank - u.Slice.First
+	cfg := u.Config
+	return Coord{
+		TP: local % cfg.TP,
+		DP: (local / cfg.TP) % cfg.DP,
+		PP: local / (cfg.TP * cfg.DP),
+	}, nil
+}
+
+// tpGroup returns the global ranks of one tensor-parallel group.
+func (u *Unit) tpGroup(dp, pp int) []int {
+	out := make([]int, u.Config.TP)
+	for t := range out {
+		out[t] = u.Rank(Coord{DP: dp, PP: pp, TP: t})
+	}
+	return out
 }

@@ -3,9 +3,9 @@
 // profiler with linear interpolation to estimate each module's
 // computation and communication time". The trials here evaluate the
 // analytic cost model of internal/model on a calibrated GPU efficiency
-// curve; the interpolation layer then answers arbitrary workload
-// queries, exactly as the production profiler answers them from
-// measured trials.
+// curve. Calibration records a grid of trials per module and TP width,
+// which the calibration fingerprint hashes; workload queries evaluate
+// the analytic model directly rather than interpolating the grid.
 //
 // The profiler exposes the paper's three cost functions — C_me(TP),
 // C_lm(TP) and C_mg(TP), the forward time of an entire module for one
@@ -16,7 +16,6 @@ package profiler
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"disttrain/internal/cluster"
@@ -77,7 +76,7 @@ func DefaultOptions(cl cluster.Cluster, m model.MLLM) Options {
 // Profiler converts module workloads into seconds.
 //
 // Concurrency: query methods (CFwd, CTrain, SampleForward, SampleTrain,
-// InterpForward, MeanShape, Options) are safe for concurrent use — the
+// MeanShape, Options) are safe for concurrent use — the
 // parallel plan-search engine issues them from many goroutines at once.
 // Calibrate mutates the profiler and must not run concurrently with
 // queries; calibrate once, then share.
@@ -492,30 +491,6 @@ func (p *Profiler) trialShape(mod model.Module, tokens float64) model.SampleShap
 	default:
 		return model.SampleShape{}
 	}
-}
-
-// InterpForward estimates forward time for a workload of the given
-// modality-token volume by linear interpolation over the trial table —
-// the estimation path the production manager uses instead of running
-// the analytic model everywhere.
-func (p *Profiler) InterpForward(mod model.Module, tp int, tokens float64) (float64, error) {
-	pts, ok := p.interpTable[interpKey{mod, tp}]
-	if !ok || len(pts) == 0 {
-		return 0, fmt.Errorf("profiler: no trials for %v tp=%d (run Calibrate)", mod, tp)
-	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].tokens >= tokens })
-	if i == 0 {
-		return pts[0].fwd, nil
-	}
-	if i == len(pts) {
-		// Extrapolate from the last segment.
-		a, b := pts[len(pts)-2], pts[len(pts)-1]
-		slope := (b.fwd - a.fwd) / (b.tokens - a.tokens)
-		return b.fwd + slope*(tokens-b.tokens), nil
-	}
-	a, b := pts[i-1], pts[i]
-	frac := (tokens - a.tokens) / (b.tokens - a.tokens)
-	return a.fwd + frac*(b.fwd-a.fwd), nil
 }
 
 func max(a, b int) int {

@@ -171,47 +171,6 @@ func TestCalibrate(t *testing.T) {
 	}
 }
 
-func TestInterpolationApproximatesModel(t *testing.T) {
-	p := calibrated(t, model.MLLM9B())
-	per := float64(p.MeanShape().ImageTokens[0])
-	// Exact at trial grid points (whole-image workloads).
-	for _, k := range []float64{1, 2, 4, 8} {
-		est, err := p.InterpForward(model.Encoder, 4, k*per)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct := p.trialForward(model.Encoder, 4, k*per)
-		if math.Abs(est-direct) > 1e-12 {
-			t.Errorf("interpolation at grid point %g images off: est %g direct %g", k, est, direct)
-		}
-	}
-	// Off-grid queries land within the per-image step granularity that
-	// bounds any trial-based profiler.
-	for _, tokens := range []float64{700, 3000, 10000} {
-		est, err := p.InterpForward(model.Encoder, 4, tokens)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct := p.trialForward(model.Encoder, 4, tokens)
-		if direct == 0 {
-			continue
-		}
-		if rel := math.Abs(est-direct) / direct; rel > 0.5 {
-			t.Errorf("interpolation at %g tokens off by %.0f%% (est %.3gms direct %.3gms)",
-				tokens, rel*100, est*1e3, direct*1e3)
-		}
-	}
-	// Unknown keys error.
-	if _, err := p.InterpForward(model.Encoder, 3, 100); err == nil {
-		t.Error("interpolation accepted unknown TP width")
-	}
-	// Uncalibrated profilers have no table.
-	fresh := newProfiler(t, model.MLLM9B())
-	if _, err := fresh.InterpForward(model.Encoder, 4, 100); err == nil {
-		t.Error("uncalibrated interpolation should error")
-	}
-}
-
 func TestBalanceFactor(t *testing.T) {
 	if got := balanceFactor(8, 8); got != 1 {
 		t.Errorf("8 images on 8 GPUs = %g, want 1", got)

@@ -359,12 +359,6 @@ func (r *Runtime) iterationSequential(p preparedBatch) (IterationStats, error) {
 	return r.finishIteration(p, pert, outcomes)
 }
 
-// RunIteration executes one training iteration on the concurrent
-// engine and returns its stats.
-func (r *Runtime) RunIteration(iter int) (IterationStats, error) {
-	return r.iterationConcurrent(r.prepare(iter))
-}
-
 // RunIterationSequential is the single-threaded reference
 // implementation, kept as the equivalence and benchmarking baseline
 // for the concurrent engine (mirroring PlanDistTrainSequential): the

@@ -174,3 +174,10 @@ func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 		})
 	}
 }
+
+// RunIteration executes one training iteration on the concurrent
+// engine and returns its stats — the counterpart the tests hold
+// byte-identical to RunIterationSequential.
+func (r *Runtime) RunIteration(iter int) (IterationStats, error) {
+	return r.iterationConcurrent(r.prepare(iter))
+}
