@@ -117,8 +117,8 @@ func reportCache(cache *disttrain.PlanCache) {
 	if cache == nil {
 		return
 	}
-	fmt.Printf("plan cache: %d searches, %d warm hits, %d warm-seeded, %d coalesced, %d candidates pruned\n",
-		cache.Searches(), cache.WarmHits(), cache.WarmSeeds(), cache.Coalesced(), cache.Pruned())
+	fmt.Printf("plan cache: %d searches, %d warm hits, %d warm-seeded, %d coalesced, %d candidates pruned, %d store errors\n",
+		cache.Searches(), cache.WarmHits(), cache.WarmSeeds(), cache.Coalesced(), cache.Pruned(), cache.StoreErrs())
 }
 
 // runSweep plans the model at every requested cluster size — in one

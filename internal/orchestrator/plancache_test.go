@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -340,6 +341,73 @@ func TestPersistentPlanCacheCorruptEntry(t *testing.T) {
 	}
 	if c3.WarmHits() != 1 || c3.Searches() != 0 {
 		t.Errorf("healed entry: searches %d warm hits %d", c3.Searches(), c3.WarmHits())
+	}
+}
+
+// faultStore is a durable store that fails on purpose: every Get
+// errors, every Put errors, or every Get returns a corrupt envelope.
+// It counts the failures it hands out.
+type faultStore struct {
+	mode   string // "get", "put" or "corrupt"
+	mu     sync.Mutex
+	failed int64
+}
+
+func (f *faultStore) Get(string) ([]byte, bool, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch f.mode {
+	case "get":
+		f.failed++
+		return nil, false, errors.New("get failed")
+	case "corrupt":
+		f.failed++
+		return []byte(`{"v":`), true, nil
+	}
+	return nil, false, nil
+}
+
+func (f *faultStore) Put(string, []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.mode == "put" {
+		f.failed++
+		return errors.New("put failed")
+	}
+	return nil
+}
+
+// TestPlanCacheStoreErrsCountsEveryFailure: a durable store that fails
+// every Get, every Put, or returns corrupt envelopes adds exactly one
+// to StoreErrs per failure, and the cache still returns the sequential
+// reference plan — it degrades around the store, never into it.
+func TestPlanCacheStoreErrsCountsEveryFailure(t *testing.T) {
+	spec := cacheSpec(t, 4, 32)
+	want, err := PlanDistTrainSequential(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"get", "put", "corrupt"} {
+		t.Run(mode, func(t *testing.T) {
+			st := &faultStore{mode: mode}
+			c := NewPersistentPlanCache(SearchOptions{}, st)
+			got, err := c.Plan(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("plan over a failing store diverged from the sequential reference")
+			}
+			st.mu.Lock()
+			failed := st.failed
+			st.mu.Unlock()
+			if failed == 0 {
+				t.Fatal("the store was never asked")
+			}
+			if c.StoreErrs() != failed {
+				t.Errorf("StoreErrs = %d, want one per failure (%d)", c.StoreErrs(), failed)
+			}
+		})
 	}
 }
 
