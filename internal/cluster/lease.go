@@ -75,9 +75,10 @@ func (l Lease) Validate(base Cluster) error {
 // Subcluster carves the lease's private view out of the shared
 // cluster: same hardware (SKU, NVLink, RDMA fabric, latency), scoped
 // to the leased node count. Every per-GPU quantity of the cost model
-// (GroupBandwidth, CrossNodeBandwidthPerGPU) is identical, so a job running on an n-node lease prices exactly like a
-// standalone run on an n-node cluster — the equivalence the fleet
-// runtime's 1-job byte-identity test pins.
+// (GroupBandwidth, CrossNodeBandwidthPerGPU) is identical, so a job
+// running on an n-node lease prices exactly like a standalone run on
+// an n-node cluster — the equivalence the fleet runtime's 1-job
+// byte-identity test pins.
 func (l Lease) Subcluster(base Cluster) Cluster {
 	sub := base
 	sub.Nodes = len(l.Nodes)

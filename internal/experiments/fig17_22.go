@@ -58,9 +58,13 @@ func Fig17(scale Scale) (*Table, error) {
 	}
 	for _, c := range configs {
 		src := fixedShapeSource{images: c.images, resolution: c.res, seqLen: 8192 * 4}
+		// The consumer fetches one iteration ahead, so the producer
+		// reads one ahead too: a deeper readahead only queues builds
+		// nobody asks for yet, and on a small host they crowd out the
+		// one the next fetch waits on.
 		cfg := preprocess.Config{
 			Source: src, GlobalBatch: 2, DPSize: 1, Microbatch: 1,
-			Workers: 8, Readahead: 3,
+			Workers: 8, Readahead: 1,
 		}
 		colocated, disagg, err := measurePreprocess(cfg)
 		if err != nil {
